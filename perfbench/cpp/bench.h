@@ -3,6 +3,7 @@
 // hands back to main(). See perfbench/README.md for the metric definitions.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -31,8 +32,8 @@ struct Options {
   std::string spans_path;
 };
 
-/// Set-up repetitions per run; setup_s reports their median.
-constexpr int kSetupReps = 5;
+/// Set-up repetitions per run; setup_s reports the lowest.
+constexpr std::size_t kSetupReps = 5;
 
 /// One recorded span: name, start, end and the span that caused it, plus
 /// an optional label and numeric attributes (counts measured at the same
@@ -107,22 +108,30 @@ struct Report {
   bool correct() const { return failed == 0 && errors.empty(); }
 };
 
-/// Runs `setup` kSetupReps times, keeping the last result, and
-/// records each repetition's wall seconds in *seconds. The first
-/// repetition is timed from `process_start_ns`, so process start-up counts
-/// toward set-up.
+/// Reports setup_s: the lowest of the run's set-up repetitions.
+void report_setup(const std::vector<double>& seconds, Report& rep);
+
+/// Runs `setup` (build the inputs, then warm up) and appends its wall
+/// seconds, timed from `start_ns`, to *seconds. A workload sets up
+/// kSetupReps times: once before the measured work, timed from process
+/// start, and kSetupReps - 1 times between its measured repetitions (see
+/// setups_after), so the set-ups sample the whole run and not one moment of
+/// the host.
 template <typename Setup>
-auto repeat_setup(std::uint64_t process_start_ns, std::vector<double>* seconds,
-                  Setup setup) {
-  auto t0 = process_start_ns;
+auto timed_setup(std::uint64_t start_ns, std::vector<double>* seconds,
+                 Setup&& setup) {
   auto state = setup();
-  seconds->push_back(static_cast<double>(now_ns() - t0) / 1e9);
-  for (int r = 1; r < kSetupReps; ++r) {
-    t0 = now_ns();
-    state = setup();
-    seconds->push_back(static_cast<double>(now_ns() - t0) / 1e9);
-  }
+  seconds->push_back(static_cast<double>(now_ns() - start_ns) / 1e9);
   return state;
+}
+
+/// How many set-ups are due after measured repetition `r` (0-based) of
+/// `reps`: the kSetupReps - 1 after the first, spread evenly over the run.
+inline std::size_t setups_after(std::size_t r, std::size_t reps) {
+  std::size_t due = 0;
+  for (std::size_t k = 1; k < kSetupReps; ++k)
+    if (std::max<std::size_t>(1, k * reps / (kSetupReps - 1)) == r + 1) ++due;
+  return due;
 }
 
 // The three workloads (sim_table1.cpp, svc_workloads.cpp).

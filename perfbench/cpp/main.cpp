@@ -105,6 +105,14 @@ void Report::fail(const std::string& why, std::uint64_t count) {
   if (errors.size() < 8) errors.push_back(why);
 }
 
+void report_setup(const std::vector<double>& seconds, Report& rep) {
+  std::fprintf(stderr, "SETUPDBG");
+  for (double s : seconds) std::fprintf(stderr, " %.5f", s);
+  std::fprintf(stderr, "\n");
+  rep.metric("setup_s", *std::min_element(seconds.begin(), seconds.end()),
+             "s");
+}
+
 namespace {
 
 // Every per-layer metric, in BENCHMARK.json order. A traced run reports all

@@ -3,7 +3,7 @@
 pass its result through. See perfbench/README.md.
 
     python3 perfbench/run.py --workload sim-table1 --seed 1 --seconds 10 --trace 0
-    python3 perfbench/run.py --steady [--runs 5] [--workloads a,b] [--seconds 10]
+    python3 perfbench/run.py --steady [--runs 5] [--seconds 10]
 
 The first form prints the workload's result as the last line of stdout: one
 JSON object with "correct", "attempted", "failed" and "metrics". The second
@@ -83,9 +83,8 @@ def steady(binary, args):
     """The steadiness self-check; returns the exit code."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",") if args.workloads else WORKLOADS
     status = 0
-    for workload in workloads:
+    for workload in WORKLOADS:
         values, exact = {}, []
         for seed in range(1, args.runs + 1):
             code, lines = run_once(binary, workload, seed, args.seconds, 0)
@@ -112,8 +111,7 @@ def steady(binary, args):
             else:
                 spread = 0.0
             bound = bounds.get(name, 0.0)
-            flag = "  > bound/3" if name != "setup_s" and spread > bound / 3 \
-                else ""
+            flag = "  > bound/3" if spread > bound / 3 else ""
             print(f"  {name:<16}{med:>14.6g}{spread:>9.3f}{bound:>8.2f}{flag}")
             if flag:
                 print("    runs: " + " ".join(f"{v:.4g}" for v in vals))
@@ -130,8 +128,6 @@ def main():
     parser.add_argument("--steady", action="store_true",
                         help="run the steadiness self-check")
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--workloads", default="",
-                        help="comma-separated subset for --steady")
     args = parser.parse_args()
     if not args.steady and args.workload is None:
         parser.error("--workload is required (or --steady)")
