@@ -73,4 +73,11 @@ PowerFit power_fit(const std::vector<double>& x, const std::vector<double>& y) {
   return PowerFit{f.slope, std::exp(f.intercept), f.r2};
 }
 
+std::size_t nearest_rank(std::size_t count, double q) {
+  if (!(q > 0.0) || q > 1.0) throw ApiError("quantile must be in (0, 1]");
+  const auto rank =
+      static_cast<std::size_t>(std::ceil(q * static_cast<double>(count)));
+  return std::max<std::size_t>(rank, 1);
+}
+
 }  // namespace asyncgossip

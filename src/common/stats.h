@@ -38,4 +38,18 @@ struct PowerFit {
 
 PowerFit power_fit(const std::vector<double>& x, const std::vector<double>& y);
 
+/// The nearest rank of the q-quantile in a sample of `count` values:
+/// ceil(q * count), at least 1. Throws ApiError unless q is in (0, 1].
+std::size_t nearest_rank(std::size_t count, double q);
+
+/// Nearest-rank q-quantile of an ascending-sorted sample: the smallest
+/// value v with at least ceil(q * N) of the N values <= v (so the 0.99
+/// quantile of 100 values is the 99th, not the maximum). 0 for an empty
+/// sample. Throws ApiError unless q is in (0, 1].
+template <typename T>
+T quantile(const std::vector<T>& sorted, double q) {
+  const std::size_t rank = nearest_rank(sorted.size(), q);
+  return sorted.empty() ? T{} : sorted[rank - 1];
+}
+
 }  // namespace asyncgossip

@@ -1,13 +1,14 @@
 #include "sim/span_export.h"
 
 #include <algorithm>
-#include <cmath>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
+
+#include "common/stats.h"
 
 namespace asyncgossip {
 
@@ -239,14 +240,7 @@ SpanSummary summarize_spans(const std::vector<FlightRecord>& records) {
   }
   std::sort(latencies_ns.begin(), latencies_ns.end());
   const auto pct = [&](double q) {
-    if (latencies_ns.empty()) return 0.0;
-    // Nearest-rank: the smallest value with at least q of the sample at or
-    // below it.
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(latencies_ns.size())));
-    if (rank == 0) rank = 1;
-    if (rank > latencies_ns.size()) rank = latencies_ns.size();
-    return static_cast<double>(latencies_ns[rank - 1]) / 1000.0;
+    return static_cast<double>(quantile(latencies_ns, q)) / 1000.0;
   };
   s.p50_us = pct(0.50);
   s.p95_us = pct(0.95);

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/stats.h"
 #include "sim/telemetry_export.h"  // json_escape
 
 namespace asyncgossip {
@@ -23,16 +24,6 @@ std::string num(double v) {
 }
 
 }  // namespace
-
-double sample_quantile(std::vector<double> sample, double q) {
-  if (sample.empty()) throw ApiError("sample_quantile: empty sample");
-  if (!(q > 0.0) || q > 1.0)
-    throw ApiError("sample_quantile: quantile must be in (0, 1]");
-  std::sort(sample.begin(), sample.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sample.size())));
-  return sample[std::max<std::size_t>(rank, 1) - 1];
-}
 
 StatReport check_bounds(const std::vector<StatCell>& cells,
                         const StatCheckConfig& config) {
@@ -54,7 +45,11 @@ StatReport check_bounds(const std::vector<StatCell>& cells,
     v.metric = cell.metric;
     v.trials = cell.samples.size();
     v.envelope = cell.envelope;
-    v.quantile_value = sample_quantile(cell.samples, config.quantile);
+    if (cell.samples.empty())
+      throw ApiError("statcheck: cell '" + cell.label + "' has no samples");
+    std::vector<double> sorted = cell.samples;
+    std::sort(sorted.begin(), sorted.end());
+    v.quantile_value = quantile(sorted, config.quantile);
     v.ratio = v.quantile_value / cell.envelope;
     v.calibration = cell.calibration;
     report.total_trials += cell.samples.size();

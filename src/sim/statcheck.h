@@ -88,11 +88,6 @@ struct StatReport {
   std::string summary() const;
 };
 
-/// Empirical quantile (nearest-rank on the sorted sample): the smallest
-/// observation v such that at least ceil(q * count) observations are <= v.
-/// Throws ApiError on an empty sample or q outside (0, 1].
-double sample_quantile(std::vector<double> sample, double q);
-
 /// Runs the check. Throws ApiError when a group has no calibration cell, a
 /// cell has no samples, or an envelope is not positive.
 StatReport check_bounds(const std::vector<StatCell>& cells,

@@ -18,6 +18,7 @@
 
 #include "common/assert.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "rt/clock.h"
 #include "svc/history.h"
 
@@ -98,13 +99,6 @@ struct Collector {
   std::ostream* obs_out AG_PT_GUARDED_BY(mu);
 };
 
-std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size()));
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 void finish_report(const LoadgenConfig& config, Collector& col,
                    double wall_ms, LoadgenReport* report) {
   MutexLock lock(&col.mu);
@@ -118,9 +112,9 @@ void finish_report(const LoadgenConfig& config, Collector& col,
       wall_ms > 0.0 ? static_cast<double>(col.acked) / (wall_ms / 1000.0)
                     : 0.0;
   std::sort(col.latencies.begin(), col.latencies.end());
-  report->p50_us = percentile(col.latencies, 0.50);
-  report->p95_us = percentile(col.latencies, 0.95);
-  report->p99_us = percentile(col.latencies, 0.99);
+  report->p50_us = quantile(col.latencies, 0.50);
+  report->p95_us = quantile(col.latencies, 0.95);
+  report->p99_us = quantile(col.latencies, 0.99);
   report->max_us = col.latencies.empty() ? 0 : col.latencies.back();
 }
 

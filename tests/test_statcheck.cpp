@@ -13,24 +13,6 @@
 namespace asyncgossip {
 namespace {
 
-TEST(SampleQuantile, NearestRank) {
-  const std::vector<double> s = {10, 1, 9, 2, 8, 3, 7, 4, 6, 5};  // 1..10
-  EXPECT_EQ(sample_quantile(s, 0.05), 1.0);
-  EXPECT_EQ(sample_quantile(s, 0.1), 1.0);
-  EXPECT_EQ(sample_quantile(s, 0.5), 5.0);
-  EXPECT_EQ(sample_quantile(s, 0.9), 9.0);
-  EXPECT_EQ(sample_quantile(s, 0.91), 10.0);
-  EXPECT_EQ(sample_quantile(s, 1.0), 10.0);
-  EXPECT_EQ(sample_quantile({7.0}, 0.5), 7.0);
-}
-
-TEST(SampleQuantile, RejectsBadInput) {
-  EXPECT_THROW(sample_quantile({}, 0.5), ApiError);
-  EXPECT_THROW(sample_quantile({1.0}, 0.0), ApiError);
-  EXPECT_THROW(sample_quantile({1.0}, 1.5), ApiError);
-  EXPECT_THROW(sample_quantile({1.0}, -0.5), ApiError);
-}
-
 StatCell cell(const std::string& group, const std::string& label,
               double envelope, bool calibration,
               std::vector<double> samples) {

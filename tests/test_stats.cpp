@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/assert.h"
 
@@ -88,6 +90,32 @@ TEST(Stats, PowerFitQuadratic) {
 TEST(Stats, PowerFitRejectsNonPositive) {
   EXPECT_THROW(power_fit({0.0, 1.0}, {1.0, 2.0}), ModelViolation);
   EXPECT_THROW(power_fit({1.0, 2.0}, {-1.0, 2.0}), ModelViolation);
+}
+
+TEST(SampleQuantile, NearestRank) {
+  const std::vector<double> s = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(quantile(s, 0.05), 1.0);
+  EXPECT_EQ(quantile(s, 0.1), 1.0);
+  EXPECT_EQ(quantile(s, 0.5), 5.0);
+  EXPECT_EQ(quantile(s, 0.9), 9.0);
+  EXPECT_EQ(quantile(s, 0.91), 10.0);
+  EXPECT_EQ(quantile(s, 1.0), 10.0);
+  EXPECT_EQ(quantile(std::vector<double>{7.0}, 0.5), 7.0);
+}
+
+TEST(SampleQuantile, P99OfHundredIsNotTheMaximum) {
+  std::vector<std::uint64_t> s(100);
+  for (std::uint64_t i = 0; i < s.size(); ++i) s[i] = i + 1;  // 1..100
+  EXPECT_EQ(quantile(s, 0.99), 99u);
+  EXPECT_EQ(quantile(s, 0.50), 50u);
+  EXPECT_EQ(quantile(s, 1.0), 100u);
+}
+
+TEST(SampleQuantile, RejectsBadInput) {
+  EXPECT_EQ(quantile(std::vector<double>{}, 0.5), 0.0);  // empty: 0
+  EXPECT_THROW(quantile(std::vector<double>{1.0}, 0.0), ApiError);
+  EXPECT_THROW(quantile(std::vector<double>{1.0}, 1.5), ApiError);
+  EXPECT_THROW(quantile(std::vector<double>{1.0}, -0.5), ApiError);
 }
 
 }  // namespace

@@ -25,11 +25,16 @@
 //   histcheck  check a committed log + observation stream for lost writes,
 //              stale reads, and session-order violations
 //
-// Every subcommand understands --help; unknown flags are rejected.
+// Each subcommand declares its flags once, in a table (tools/flags.h) that
+// also generates its --help. Exit status: 0 ok; 1 the run failed (a checked
+// property did not hold or the run was incomplete); 2 usage error (unknown,
+// repeated, malformed or missing flag, bad choice, value out of range, or
+// an input that cannot be read or an output that cannot be written);
+// 3 internal error.
 //
 // Examples:
 //   gossiplab gossip --alg ears --n 256 --f 64 --d 4 --delta 3 --seed 1
-//   gossiplab sweep --alg tears --n 256,512,1024 --fpct 25 --csv
+//   gossiplab sweep --alg tears --n 256,512,1024 --fpct 25
 //   gossiplab consensus --exchange tears --n 128 --seed 7
 //   gossiplab lowerbound --alg lazy --f 64 --seed 3
 //   gossiplab trace --alg ears --n 16 --f 4 --steps 96
@@ -51,22 +56,23 @@
 //   gossiplab loadgen --target inproc --requests 1000000 --crashes 2
 //       --log svc.log --obs svc.obs
 //   gossiplab histcheck --log svc.log --obs svc.obs
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
-#include <map>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "consensus/canetti_rabin.h"
 #include "consensus/cr_gossip.h"
+#include "flags.h"
 #include "gossip/fuzz_harness.h"
 #include "gossip/harness.h"
 #include "gossip/spec_json.h"
@@ -84,169 +90,123 @@
 #include "svc/service.h"
 
 using namespace asyncgossip;
+using cli::Flag;
+using cli::Given;
+using cli::parse_flags;
+using cli::usage_error;
 
 namespace {
 
-using Flags = std::map<std::string, std::string>;
+using Args = std::vector<std::string>;
 
-Flags parse_flags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    // erase, not `arg = arg.substr(2)`: the self-assignment-from-temporary
-    // form trips GCC 12's -Wrestrict false positive (PR 105329) under
-    // inlining.
-    arg.erase(0, 2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "1";  // boolean flag
-    }
+std::vector<Flag> join(std::vector<Flag> a, std::vector<Flag> b) {
+  a.insert(a.end(), std::make_move_iterator(b.begin()),
+           std::make_move_iterator(b.end()));
+  return a;
+}
+
+/// Opens `path` for reading or writing; on failure says so and returns
+/// false (the caller exits 2).
+template <typename Stream>
+bool open_file(const std::string& path, Stream* stream) {
+  stream->open(path);
+  if (*stream) return true;
+  std::fprintf(stderr, "cannot open %s for %s\n", path.c_str(),
+               std::is_same_v<Stream, std::ifstream> ? "reading" : "writing");
+  return false;
+}
+
+/// Checks a JSON document and writes it to `path`, or to stdout when `path`
+/// is empty. Returns the exit status: 0, 2 unwritable, 3 invalid JSON.
+int write_json(const std::string& doc, const std::string& path,
+               const char* what) {
+  std::string json_err;
+  if (!json_valid(doc, &json_err)) {
+    std::fprintf(stderr, "internal error: %s is not valid JSON: %s\n", what,
+                 json_err.c_str());
+    return 3;
   }
-  return flags;
-}
-
-/// Rejects flags the subcommand does not understand (exit 2, naming the
-/// offending flag). Every allow-list implicitly contains "help".
-void check_flags(const char* cmd, const Flags& flags,
-                 std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : flags) {
-    (void)value;
-    if (key == "help") continue;
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr,
-                   "gossiplab %s: unknown flag --%s (try: gossiplab %s --help)\n",
-                   cmd, key.c_str(), cmd);
-      std::exit(2);
-    }
+  if (path.empty()) {
+    std::fputs(doc.c_str(), stdout);
+    return 0;
   }
+  std::ofstream os;
+  if (!open_file(path, &os)) return 2;
+  os << doc;
+  std::fprintf(stderr, "wrote %s to %s\n", what, path.c_str());
+  return 0;
 }
 
-// Shared model/algorithm flags consumed by spec_from_flags.
-#define SPEC_FLAG_LIST                                                      \
-  "alg", "algorithm", "n", "f", "d", "delta", "seed", "schedule", "delay",  \
-      "crash-horizon", "epsilon", "shutdown-c", "tears-a", "tears-kappa",   \
-      "lazy-fanout", "max-steps", "engine-jobs", "audit"
-
-constexpr const char* kSpecFlagHelp =
-    "  model/algorithm flags (shared by gossip runs):\n"
-    "    --alg NAME          algorithm: trivial|ears|sears|tears|sync|\n"
-    "                        ears-no-informed-list|lazy|round-robin|\n"
-    "                        cr-ears|cr-sears|cr-tears (default ears)\n"
-    "    --algorithm NAME    alias for --alg\n"
-    "    --n N --f F         processes / crash budget (default 64, n/4)\n"
-    "    --d D --delta DD    delivery / scheduling bounds (default 1, 1)\n"
-    "    --seed S            RNG seed (default 1)\n"
-    "    --schedule NAME     lockstep|staggered|random|rotating|straggler\n"
-    "    --delay NAME        unit|max|uniform|bimodal|targeted\n"
-    "    --crash-horizon T   crash times drawn in [0, T) (default 64)\n"
-    "    --epsilon E         SEARS fanout exponent (default 0.5)\n"
-    "    --shutdown-c C      EARS shutdown constant (default 4.0)\n"
-    "    --tears-a C --tears-kappa C   TEARS constants (default 1.0)\n"
-    "    --lazy-fanout K     lazy-gossip fanout (default 2)\n"
-    "    --max-steps T       step budget, 0 = automatic\n"
-    "    --engine-jobs J     engine worker threads per run: 1 = serial,\n"
-    "                        0 = hardware concurrency (default: AG_ENGINE_JOBS\n"
-    "                        or 1; results are identical for every J)\n"
-    "    --audit             attach the invariant auditor; violations abort\n";
-
-std::uint64_t get_u64(const Flags& f, const std::string& key,
-                      std::uint64_t fallback) {
-  auto it = f.find(key);
-  return it == f.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-double get_double(const Flags& f, const std::string& key, double fallback) {
-  auto it = f.find(key);
-  return it == f.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-}
-
-std::string get_str(const Flags& f, const std::string& key,
-                    const std::string& fallback) {
-  auto it = f.find(key);
-  return it == f.end() ? fallback : it->second;
-}
-
-bool has_flag(const Flags& f, const std::string& key) {
-  return f.count(key) > 0;
-}
-
-std::vector<std::uint64_t> parse_list(const std::string& s) {
-  std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtoull(s.substr(pos, comma - pos).c_str(), nullptr, 10));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-GossipAlgorithm parse_algorithm(const std::string& name) {
-  GossipAlgorithm out;
-  if (algorithm_from_string(name, &out)) return out;
-  std::fprintf(stderr, "unknown algorithm: %s\n", name.c_str());
-  std::exit(2);
-}
-
-ExchangeKind parse_exchange(const std::string& name) {
-  if (name == "all-to-all" || name == "cr") return ExchangeKind::kAllToAll;
-  if (name == "ears") return ExchangeKind::kEars;
-  if (name == "sears") return ExchangeKind::kSears;
-  if (name == "tears") return ExchangeKind::kTears;
-  std::fprintf(stderr, "unknown exchange: %s\n", name.c_str());
-  std::exit(2);
-}
-
-SchedulePattern parse_schedule(const std::string& name) {
-  SchedulePattern out;
-  if (schedule_from_string(name, &out)) return out;
-  std::fprintf(stderr, "unknown schedule: %s\n", name.c_str());
-  std::exit(2);
-}
-
-DelayPattern parse_delay(const std::string& name) {
-  DelayPattern out;
-  if (delay_from_string(name, &out)) return out;
-  std::fprintf(stderr, "unknown delay pattern: %s\n", name.c_str());
-  std::exit(2);
-}
-
-GossipSpec spec_from_flags(const Flags& f) {
+/// The model/algorithm flags of a gossip run, bound to a GossipSpec. The
+/// choice flags land in strings until resolve().
+struct SpecFlags {
   GossipSpec spec;
-  // --algorithm is an alias for --alg; --alg wins when both are given.
-  spec.algorithm =
-      parse_algorithm(get_str(f, "alg", get_str(f, "algorithm", "ears")));
-  spec.n = get_u64(f, "n", 64);
-  spec.f = get_u64(f, "f", spec.n / 4);
-  spec.d = get_u64(f, "d", 1);
-  spec.delta = get_u64(f, "delta", 1);
-  spec.seed = get_u64(f, "seed", 1);
-  spec.schedule = parse_schedule(
-      get_str(f, "schedule", spec.delta == 1 ? "lockstep" : "staggered"));
-  spec.delay = parse_delay(get_str(f, "delay", spec.d == 1 ? "unit" : "uniform"));
-  spec.crash_horizon = get_u64(f, "crash-horizon", 64);
-  spec.sears_epsilon = get_double(f, "epsilon", 0.5);
-  spec.ears_shutdown_constant = get_double(f, "shutdown-c", 4.0);
-  spec.tears_a_constant = get_double(f, "tears-a", 1.0);
-  spec.tears_kappa_constant = get_double(f, "tears-kappa", 1.0);
-  spec.lazy_fanout = get_u64(f, "lazy-fanout", 2);
-  spec.max_steps = get_u64(f, "max-steps", 0);
-  spec.engine_jobs = get_u64(f, "engine-jobs", spec.engine_jobs);
-  spec.audit = has_flag(f, "audit");
-  return spec;
+  std::string alg, schedule, delay;
+
+  /// The rows, minus `omit` (the flags a subcommand does not read).
+  std::vector<Flag> rows(const std::set<std::string>& omit = {}) {
+    std::vector<Flag> all = {
+        Flag("alg", &alg, "ears", "algorithm")
+            .aka("algorithm")
+            .one_of({"trivial", "ears", "sears", "tears", "sync",
+                     "ears-no-informed-list", "lazy", "round-robin",
+                     "cr-ears", "cr-sears", "cr-tears"}),
+        Flag("n", &spec.n, "64", "processes").in(1),
+        {"f", &spec.f, nullptr, "crash budget (default n/4)"},
+        Flag("d", &spec.d, "1", "delivery bound").in(1),
+        Flag("delta", &spec.delta, "1", "scheduling bound").in(1),
+        {"seed", &spec.seed, "1", "RNG seed"},
+        Flag("schedule", &schedule, nullptr,
+             "oblivious schedule (default lockstep when delta = 1,\n"
+             "else staggered)")
+            .one_of({"lockstep", "staggered", "random", "rotating",
+                     "straggler"}),
+        Flag("delay", &delay, nullptr,
+             "message delays (default unit when d = 1, else uniform)")
+            .one_of({"unit", "max", "uniform", "bimodal", "targeted"}),
+        {"crash-horizon", &spec.crash_horizon, "64",
+         "crash times drawn in [0, N)"},
+        {"epsilon", &spec.sears_epsilon, "0.5", "SEARS fanout exponent"},
+        {"shutdown-c", &spec.ears_shutdown_constant, "4.0",
+         "EARS shutdown constant"},
+        {"tears-a", &spec.tears_a_constant, "1.0", "TEARS a constant"},
+        {"tears-kappa", &spec.tears_kappa_constant, "1.0",
+         "TEARS kappa constant"},
+        {"lazy-fanout", &spec.lazy_fanout, "2", "lazy-gossip fanout"},
+        {"max-steps", &spec.max_steps, "0", "step budget; 0 = automatic"},
+        {"engine-jobs", &spec.engine_jobs, nullptr,
+         "engine worker threads per run: 1 = serial, 0 =\n"
+         "hardware concurrency; results are identical for every\n"
+         "value (default AG_ENGINE_JOBS, else 1)"},
+        {"audit", &spec.audit, nullptr,
+         "attach the invariant auditor; violations abort"},
+    };
+    std::erase_if(all, [&](const Flag& f) { return omit.count(f.name) != 0; });
+    return all;
+  }
+
+  /// Converts the choice flags; schedule and delay default from delta, d.
+  void resolve() {
+    if (!alg.empty()) algorithm_from_string(alg, &spec.algorithm);
+    if (schedule.empty()) schedule = spec.delta == 1 ? "lockstep" : "staggered";
+    if (delay.empty()) delay = spec.d == 1 ? "unit" : "uniform";
+    schedule_from_string(schedule, &spec.schedule);
+    delay_from_string(delay, &spec.delay);
+  }
+
+  /// resolve(), plus the derived crash budget f = n/4, checked against n.
+  GossipSpec finish(const char* cmd, const Given& given) {
+    resolve();
+    if (given.count("f") == 0) spec.f = spec.n / 4;
+    if (spec.f >= spec.n) usage_error(cmd, "--f must be less than --n");
+    return spec;
+  }
+};
+
+void check_majority(const char* cmd, std::size_t n, std::size_t f) {
+  if (n < 3 || f >= (n + 1) / 2)
+    usage_error(cmd, "need --n >= 3 and --f < n/2 (got n=" +
+                         std::to_string(n) + " f=" + std::to_string(f) + ")");
 }
 
 void print_gossip_csv_header() {
@@ -267,18 +227,17 @@ void print_gossip_csv(const GossipSpec& spec, const GossipOutcome& out) {
               (unsigned long long)out.realized_delta);
 }
 
-int cmd_gossip(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf("usage: gossiplab gossip [flags]\n"
-                "run one gossip execution and print a human summary\n"
-                "    --csv               print a CSV header + row instead\n%s",
-                kSpecFlagHelp);
-    return 0;
-  }
-  check_flags("gossip", f, {SPEC_FLAG_LIST, "csv"});
-  const GossipSpec spec = spec_from_flags(f);
+int cmd_gossip(const Args& args) {
+  SpecFlags s;
+  bool csv = false;
+  const Given given = parse_flags(
+      "gossip", "run one gossip execution and print a human summary",
+      join({{"csv", &csv, nullptr, "print a CSV header + row instead"}},
+           s.rows()),
+      args);
+  const GossipSpec spec = s.finish("gossip", given);
   const GossipOutcome out = run_gossip_spec(spec);
-  if (has_flag(f, "csv")) {
+  if (csv) {
     print_gossip_csv_header();
     print_gossip_csv(spec, out);
   } else {
@@ -305,42 +264,41 @@ int cmd_gossip(const Flags& f) {
   return out.completed ? 0 : 1;
 }
 
-int cmd_sweep(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf("usage: gossiplab sweep [flags]\n"
-                "run an algorithm over a grid of n values x seeds, CSV to "
-                "stdout\n"
-                "    --n N1,N2,...       population sizes (default 64,128,256)\n"
-                "    --fpct P            crash budget as %% of n (default 25)\n"
-                "    --seeds K           seeds per size (default 3)\n"
-                "    --jobs J            worker threads (default 1; 0 = all "
-                "hardware threads).\n"
-                "                        output is identical for every J — "
-                "only wall time changes\n"
-                "    --json PATH         also write an asyncgossip-bench-v1 "
-                "report (suite \"sweep\")\n%s",
-                kSpecFlagHelp);
-    return 0;
-  }
-  check_flags("sweep", f, {SPEC_FLAG_LIST, "fpct", "seeds", "csv", "jobs",
-                           "json"});
-  const auto ns = parse_list(get_str(f, "n", "64,128,256"));
-  const std::uint64_t fpct = get_u64(f, "fpct", 25);
-  const std::uint64_t seeds = get_u64(f, "seeds", 3);
-  const std::uint64_t jobs = get_u64(f, "jobs", 1);
+int cmd_sweep(const Args& args) {
+  SpecFlags s;
+  std::vector<std::uint64_t> ns;
+  std::uint64_t fpct = 0;
+  std::uint64_t seeds = 0;
+  std::uint64_t jobs = 0;
+  std::string json_path;
+  parse_flags(
+      "sweep",
+      "run an algorithm over a grid of n values x seeds, CSV to stdout",
+      join({Flag("n", &ns, "64,128,256", "population sizes").in(1),
+            Flag("fpct", &fpct, "25", "crash budget as % of n").in(0, 99),
+            {"seeds", &seeds, "3", "seeds per size: --seed, --seed + 1, ..."},
+            {"jobs", &jobs, "1",
+             "worker threads; 0 = all hardware threads. Output is\n"
+             "identical for every value; only wall time changes"},
+            {"json", &json_path, nullptr,
+             "also write an asyncgossip-bench-v1 report (suite\n"
+             "\"sweep\")"}},
+           s.rows({"n", "f"})),
+      args);
+  s.resolve();
 
   // Build the whole grid up front so the parallel runner can claim cases
   // freely; rows are printed afterwards in grid order regardless of which
   // worker finished first.
   std::vector<GossipSpec> specs;
   specs.reserve(ns.size() * seeds);
-  for (std::uint64_t n : ns) {
-    for (std::uint64_t s = 0; s < seeds; ++s) {
-      Flags g = f;
-      g["n"] = std::to_string(n);
-      g["f"] = std::to_string(n * fpct / 100);
-      g["seed"] = std::to_string(get_u64(f, "seed", 1) + s);
-      specs.push_back(spec_from_flags(g));
+  for (const std::uint64_t n : ns) {
+    for (std::uint64_t k = 0; k < seeds; ++k) {
+      GossipSpec spec = s.spec;
+      spec.n = n;
+      spec.f = n * fpct / 100;
+      spec.seed = s.spec.seed + k;
+      specs.push_back(spec);
     }
   }
   const std::vector<GossipSweepResult> results =
@@ -350,69 +308,64 @@ int cmd_sweep(const Flags& f) {
   for (std::size_t i = 0; i < specs.size(); ++i)
     print_gossip_csv(specs[i], results[i].outcome);
 
-  const std::string json_path = get_str(f, "json", "");
-  if (!json_path.empty()) {
-    std::vector<BenchCaseRow> rows;
-    rows.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const GossipSpec& spec = specs[i];
-      const GossipOutcome& out = results[i].outcome;
-      BenchCaseRow row;
-      row.name = spec_label(spec) + "/seed:" + std::to_string(spec.seed);
-      row.counters = {
-          {"completed", out.completed ? 1.0 : 0.0},
-          {"steps", static_cast<double>(out.completion_time)},
-          {"msgs", static_cast<double>(out.messages)},
-          {"bytes", static_cast<double>(out.bytes)},
-          {"gather_ok", out.gathering_ok ? 1.0 : 0.0},
-          {"majority_ok", out.majority_ok ? 1.0 : 0.0},
-          {"alive", static_cast<double>(out.alive)},
-          {"realized_d", static_cast<double>(out.realized_d)},
-          {"realized_delta", static_cast<double>(out.realized_delta)},
-      };
-      rows.push_back(std::move(row));
-    }
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "sweep: cannot open %s for writing\n",
-                   json_path.c_str());
-      return 1;
-    }
-    write_bench_json(out, "sweep", rows);
+  if (json_path.empty()) return 0;
+  std::vector<BenchCaseRow> rows;
+  rows.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const GossipSpec& spec = specs[i];
+    const GossipOutcome& out = results[i].outcome;
+    BenchCaseRow row;
+    row.name = spec_label(spec) + "/seed:" + std::to_string(spec.seed);
+    row.counters = {
+        {"completed", out.completed ? 1.0 : 0.0},
+        {"steps", static_cast<double>(out.completion_time)},
+        {"msgs", static_cast<double>(out.messages)},
+        {"bytes", static_cast<double>(out.bytes)},
+        {"gather_ok", out.gathering_ok ? 1.0 : 0.0},
+        {"majority_ok", out.majority_ok ? 1.0 : 0.0},
+        {"alive", static_cast<double>(out.alive)},
+        {"realized_d", static_cast<double>(out.realized_d)},
+        {"realized_delta", static_cast<double>(out.realized_delta)},
+    };
+    rows.push_back(std::move(row));
   }
-  return 0;
+  std::ostringstream doc;
+  write_bench_json(doc, "sweep", rows);
+  return write_json(doc.str(), json_path, "sweep report");
 }
 
-int cmd_consensus(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab consensus [flags]\n"
-        "run one Canetti-Rabin consensus execution\n"
-        "    --exchange NAME     all-to-all|cr|ears|sears|tears (default tears)\n"
-        "    --n N --f F         processes / crash budget (default 64, n/2-1)\n"
-        "    --inputs NAME       random|zero|one|half (default random)\n"
-        "    --d D --delta DD --seed S --schedule NAME --delay NAME\n"
-        "    --epsilon E --tears-a C --tears-kappa C\n");
-    return 0;
-  }
-  check_flags("consensus", f,
-              {"exchange", "n", "f", "inputs", "d", "delta", "seed", "schedule",
-               "delay", "epsilon", "tears-a", "tears-kappa"});
+int cmd_consensus(const Args& args) {
+  SpecFlags s;
+  std::string exchange, inputs;
+  const Given given = parse_flags(
+      "consensus", "run one Canetti-Rabin consensus execution",
+      join({Flag("exchange", &exchange, "tears", "gossip exchange")
+                .one_of({"all-to-all", "cr", "ears", "sears", "tears"}),
+            {"f", &s.spec.f, nullptr, "crash budget, < n/2 (default n/2 - 1)"},
+            Flag("inputs", &inputs, "random", "input pattern")
+                .one_of({"random", "zero", "one", "half"})},
+           s.rows({"alg", "f", "crash-horizon", "shutdown-c", "lazy-fanout",
+                   "max-steps", "engine-jobs", "audit"})),
+      args);
+  s.resolve();
+  if (given.count("f") == 0) s.spec.f = s.spec.n / 2 - 1;
+  check_majority("consensus", s.spec.n, s.spec.f);
   ConsensusSpec spec;
-  spec.config.n = get_u64(f, "n", 64);
-  spec.config.f = get_u64(f, "f", spec.config.n / 2 - 1);
-  spec.config.exchange = parse_exchange(get_str(f, "exchange", "tears"));
-  spec.config.sears_epsilon = get_double(f, "epsilon", 0.5);
-  spec.config.tears_a_constant = get_double(f, "tears-a", 1.0);
-  spec.config.tears_kappa_constant = get_double(f, "tears-kappa", 1.0);
-  spec.config.seed = get_u64(f, "seed", 1);
-  spec.d = get_u64(f, "d", 1);
-  spec.delta = get_u64(f, "delta", 1);
-  spec.schedule = parse_schedule(
-      get_str(f, "schedule", spec.delta == 1 ? "lockstep" : "staggered"));
-  spec.delay = parse_delay(get_str(f, "delay", spec.d == 1 ? "unit" : "uniform"));
+  spec.config.n = s.spec.n;
+  spec.config.f = s.spec.f;
+  spec.config.exchange = exchange == "ears"    ? ExchangeKind::kEars
+                         : exchange == "sears" ? ExchangeKind::kSears
+                         : exchange == "tears" ? ExchangeKind::kTears
+                                               : ExchangeKind::kAllToAll;
+  spec.config.sears_epsilon = s.spec.sears_epsilon;
+  spec.config.tears_a_constant = s.spec.tears_a_constant;
+  spec.config.tears_kappa_constant = s.spec.tears_kappa_constant;
+  spec.config.seed = s.spec.seed;
+  spec.d = s.spec.d;
+  spec.delta = s.spec.delta;
+  spec.schedule = s.spec.schedule;
+  spec.delay = s.spec.delay;
   spec.seed = spec.config.seed;
-  const std::string inputs = get_str(f, "inputs", "random");
   spec.inputs = inputs == "zero"   ? InputPattern::kAllZero
                 : inputs == "one"  ? InputPattern::kAllOne
                 : inputs == "half" ? InputPattern::kHalfHalf
@@ -438,20 +391,29 @@ int cmd_consensus(const Flags& f) {
   return out.all_decided && out.agreement && out.validity ? 0 : 1;
 }
 
-int cmd_lowerbound(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf("usage: gossiplab lowerbound [flags]\n"
-                "run the Theorem 1 adaptive adversary against an algorithm\n"
-                "(omit --n to get the canonical n = 4f population)\n%s",
-                kSpecFlagHelp);
-    return 0;
-  }
-  check_flags("lowerbound", f, {SPEC_FLAG_LIST});
+int cmd_lowerbound(const Args& args) {
+  SpecFlags s;
+  const Given given = parse_flags(
+      "lowerbound",
+      "run the Theorem 1 adaptive adversary against an algorithm (the\n"
+      "adversary replaces the schedule, the delays and the crashes)",
+      join(s.rows({"n", "f", "d", "delta", "schedule", "delay",
+                   "crash-horizon", "shutdown-c", "max-steps", "engine-jobs",
+                   "audit"}),
+           {{"n", &s.spec.n, nullptr, "processes (default 4f)"},
+            {"f", &s.spec.f, nullptr,
+             "tolerance; the construction uses min(f, n/4), which\n"
+             "must be >= 8 (default n/4, or 16 without --n)"},
+            {"shutdown-c", &s.spec.ears_shutdown_constant, "2.0",
+             "EARS shutdown constant"}}),
+      args);
+  if (given.count("n") == 0)
+    s.spec.n = 4 * (given.count("f") != 0 ? s.spec.f : 16);
   LowerBoundConfig cfg;
-  cfg.spec = spec_from_flags(f);
-  cfg.spec.ears_shutdown_constant = get_double(f, "shutdown-c", 2.0);
-  cfg.f = get_u64(f, "f", cfg.spec.n / 4);
-  if (!has_flag(f, "n")) cfg.spec.n = 4 * cfg.f;
+  cfg.spec = s.finish("lowerbound", given);
+  cfg.f = cfg.spec.f;
+  if (std::min(cfg.f, cfg.spec.n / 4) < 8)
+    usage_error("lowerbound", "--f: the construction needs min(f, n/4) >= 8");
   const LowerBoundReport r = run_lower_bound(cfg);
   std::printf("lower bound vs %s: n=%zu f_eff=%zu -> %s\n",
               to_string(cfg.spec.algorithm), r.n, r.f_eff,
@@ -476,32 +438,28 @@ int cmd_lowerbound(const Flags& f) {
   return 0;
 }
 
-int cmd_trace(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf("usage: gossiplab trace [flags]\n"
-                "run a small gossip execution and print its ASCII timeline\n"
-                "    --steps T           step budget (default 96)\n"
-                "    --record PATH       write the event trace to PATH instead\n%s",
-                kSpecFlagHelp);
-    return 0;
-  }
-  check_flags("trace", f, {SPEC_FLAG_LIST, "steps", "record"});
-  GossipSpec spec = spec_from_flags(f);
+int cmd_trace(const Args& args) {
+  SpecFlags s;
+  std::uint64_t steps = 0;
+  std::string record;
+  const Given given = parse_flags(
+      "trace", "run a small gossip execution and print its ASCII timeline",
+      join({{"steps", &steps, "96", "step budget"},
+            {"record", &record, nullptr,
+             "write the event trace to PATH instead"}},
+           s.rows({"max-steps", "audit"})),
+      args);
+  const GossipSpec spec = s.finish("trace", given);
   Engine engine = make_gossip_engine(spec);
   TraceRecorder trace;
   engine.set_observer(&trace);
-  const Time steps = get_u64(f, "steps", 96);
   engine.run_until(gossip_quiet, steps);
-  if (has_flag(f, "record")) {
-    const std::string path = get_str(f, "record", "run.trace");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 2;
-    }
+  if (!record.empty()) {
+    std::ofstream out;
+    if (!open_file(record, &out)) return 2;
     trace.write_trace(out, spec.n, spec.d, spec.delta, spec.f);
     std::printf("recorded %zu events to %s (check with: tracecheck %s)\n",
-                trace.events().size(), path.c_str(), path.c_str());
+                trace.events().size(), record.c_str(), record.c_str());
     return 0;
   }
   std::printf("%s n=%zu f=%zu — timeline (o step, s send, d deliver, "
@@ -519,19 +477,19 @@ int cmd_trace(const Flags& f) {
   return 0;
 }
 
-int cmd_report(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab report [flags]\n"
-        "run one gossip execution with telemetry attached and print the\n"
-        "asyncgossip-telemetry-v1 JSON report (schema: docs/OBSERVABILITY.md)\n"
-        "    --out PATH          write the JSON report to PATH\n"
-        "    --spread-csv PATH   also write the spread time-series as CSV\n%s",
-        kSpecFlagHelp);
-    return 0;
-  }
-  check_flags("report", f, {SPEC_FLAG_LIST, "out", "spread-csv"});
-  GossipSpec spec = spec_from_flags(f);
+int cmd_report(const Args& args) {
+  SpecFlags s;
+  std::string out_path, spread_path;
+  const Given given = parse_flags(
+      "report",
+      "run one gossip execution with telemetry attached and print the\n"
+      "asyncgossip-telemetry-v1 JSON report (schema: docs/OBSERVABILITY.md)",
+      join({{"out", &out_path, nullptr, "write the JSON report to PATH"},
+            {"spread-csv", &spread_path, nullptr,
+             "also write the spread time-series as CSV"}},
+           s.rows()),
+      args);
+  GossipSpec spec = s.finish("report", given);
   TelemetryCollector telemetry(telemetry_config(spec));
   spec.telemetry = &telemetry;
   const GossipOutcome out = run_gossip_spec(spec);
@@ -561,157 +519,119 @@ int cmd_report(const Flags& f) {
 
   std::ostringstream doc;
   write_telemetry_json(doc, telemetry, info);
-  std::string json_err;
-  if (!json_valid(doc.str(), &json_err)) {
-    std::fprintf(stderr, "internal error: report is not valid JSON: %s\n",
-                 json_err.c_str());
-    return 3;
-  }
-  if (has_flag(f, "out")) {
-    const std::string path = get_str(f, "out", "report.json");
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 2;
-    }
-    os << doc.str();
-    std::fprintf(stderr, "wrote telemetry report to %s\n", path.c_str());
-  } else {
-    std::fputs(doc.str().c_str(), stdout);
-  }
-  if (has_flag(f, "spread-csv")) {
-    const std::string path = get_str(f, "spread-csv", "spread.csv");
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 2;
-    }
+  if (const int rc = write_json(doc.str(), out_path, "telemetry report"))
+    return rc;
+  if (!spread_path.empty()) {
+    std::ofstream os;
+    if (!open_file(spread_path, &os)) return 2;
     write_spread_csv(os, telemetry);
-    std::fprintf(stderr, "wrote spread time-series to %s\n", path.c_str());
+    std::fprintf(stderr, "wrote spread time-series to %s\n",
+                 spread_path.c_str());
   }
   return out.completed ? 0 : 1;
 }
 
-int cmd_rt(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab rt [flags]\n"
-        "run one gossip execution on the real-time threaded runtime (one\n"
-        "thread per process, wall-clock ticks; see docs/RUNTIME.md), audit\n"
-        "the recorded trace offline, and print the asyncgossip-telemetry-v1\n"
-        "JSON report\n"
-        "    --inject KIND       faults: none|crash|stall|drop|all (default none)\n"
-        "    --tick-us T         wall-clock microseconds per model tick (default 200)\n"
-        "    --transport KIND    inproc (threads, default) | udp (one OS process\n"
-        "                        per gossip process over loopback datagrams) |\n"
-        "                        udp-threads (threads over the UDP transport)\n"
-        "    --wire-drop P --wire-dup P --wire-reorder P\n"
-        "                        seeded datagram faults at the socket boundary\n"
-        "                        (UDP transports only; probabilities in [0,1])\n"
-        "    --wire-seed S       fault-shim seed (default: --seed)\n"
-        "    --record PATH       write the trace-format-v1 event log to PATH\n"
-        "    --out PATH          write the JSON report to PATH\n"
-        "    --spans PATH        enable the flight recorder and write the raw\n"
-        "                        flight log (asyncgossip flight v1) to PATH;\n"
-        "                        convert with `gossiplab spans`\n"
-        "    --stats-interval-ms T  emit live asyncgossip-stats-v1 NDJSON\n"
-        "                        snapshots every T ms (T >= 1)\n"
-        "    --stats-out PATH    stats destination (default: stderr)\n"
-        "  --d/--delta are *targets* (delay-draw range / pacing aim); the\n"
-        "  report carries the bounds the execution realized (defaults 4, 2)\n%s",
-        kSpecFlagHelp);
-    return 0;
-  }
-  check_flags("rt", f,
-              {SPEC_FLAG_LIST, "inject", "tick-us", "record", "out", "spans",
-               "stats-interval-ms", "stats-out", "transport", "wire-drop",
-               "wire-dup", "wire-reorder", "wire-seed", "worker", "coord-port",
-               "trace-out"});
+int cmd_rt(const Args& args) {
+  SpecFlags s;
   RtConfig config;
-  config.spec = spec_from_flags(f);
-  // Real transports have jitter: a degenerate d = 1 target makes every
-  // delay draw identical, so rt defaults to a small spread instead.
-  if (!has_flag(f, "d")) config.spec.d = 4;
-  if (!has_flag(f, "delta")) config.spec.delta = 2;
-  config.tick_us = get_u64(f, "tick-us", 200);
-  const std::string inject_name = get_str(f, "inject", "none");
-  if (!rt_inject_from_string(inject_name, &config.inject)) {
-    std::fprintf(stderr, "unknown inject kind: %s\n", inject_name.c_str());
-    return 2;
-  }
-  const std::string transport_name = get_str(f, "transport", "inproc");
-  bool multiproc = false;
-  if (transport_name == "udp") {
-    // One OS process per gossip process (rt/multiproc.h).
-    multiproc = true;
-    config.transport = RtTransportKind::kUdp;
-  } else if (transport_name == "udp-threads") {
-    config.transport = RtTransportKind::kUdp;
-  } else if (!rt_transport_from_string(transport_name, &config.transport)) {
-    std::fprintf(stderr, "unknown transport: %s\n", transport_name.c_str());
-    return 2;
-  }
-  config.wire_faults.drop_probability = get_double(f, "wire-drop", 0.0);
-  config.wire_faults.duplicate_probability = get_double(f, "wire-dup", 0.0);
-  config.wire_faults.reorder_probability = get_double(f, "wire-reorder", 0.0);
-  config.wire_faults.seed = get_u64(f, "wire-seed", config.spec.seed);
+  std::string inject, transport, record, out_path, spans, stats_out, trace_out;
+  std::uint64_t worker = 0;
+  std::uint64_t coord_port = 0;
+  // The flags that define the run; a multi-process run forwards them to
+  // every worker it re-execs.
+  const std::vector<Flag> run_flags = join(
+      s.rows({"d", "delta", "schedule", "delay", "audit", "engine-jobs"}),
+      {Flag("d", &s.spec.d, "4", "delivery-bound target").in(1),
+       Flag("delta", &s.spec.delta, "2", "scheduling-bound target").in(1),
+       Flag("inject", &inject, "none", "fault injection")
+           .one_of({"none", "crash", "stall", "drop", "all"}),
+       Flag("tick-us", &config.tick_us, "200",
+            "wall-clock microseconds per model tick")
+           .in(1),
+       Flag("wire-drop", &config.wire_faults.drop_probability, "0",
+            "seeded datagram drop probability at the socket\n"
+            "boundary (UDP transports only)")
+           .in(0, 1),
+       Flag("wire-dup", &config.wire_faults.duplicate_probability, "0",
+            "seeded datagram duplication probability (UDP only)")
+           .in(0, 1),
+       Flag("wire-reorder", &config.wire_faults.reorder_probability, "0",
+            "seeded datagram reorder probability (UDP only)")
+           .in(0, 1),
+       {"wire-seed", &config.wire_faults.seed, nullptr,
+        "fault-shim seed (default --seed)"}});
+  const Given given = parse_flags(
+      "rt",
+      "run one gossip execution on the real-time threaded runtime (one\n"
+      "thread per process, wall-clock ticks; see docs/RUNTIME.md), audit\n"
+      "the recorded trace offline, and print the asyncgossip-telemetry-v1\n"
+      "JSON report. --d and --delta are targets (the delay-draw range and\n"
+      "the pacing aim; real transports jitter, hence d = 4); the report\n"
+      "carries the bounds the execution realized",
+      join(run_flags,
+           {Flag("transport", &transport, "inproc",
+                 "inproc: threads; udp: one OS process per gossip\n"
+                 "process over loopback datagrams; udp-threads: threads\n"
+                 "over the UDP transport")
+                .one_of({"inproc", "udp", "udp-threads"}),
+            {"record", &record, nullptr,
+             "write the trace-format-v1 event log to PATH"},
+            {"out", &out_path, nullptr, "write the JSON report to PATH"},
+            {"spans", &spans, nullptr,
+             "enable the flight recorder and write the raw flight\n"
+             "log (asyncgossip flight v1) to PATH; convert with\n"
+             "`gossiplab spans`; not with --transport udp"},
+            Flag("stats-interval-ms", &config.stats_interval_ms, nullptr,
+                 "emit live asyncgossip-stats-v1 NDJSON snapshots\n"
+                 "every N ms; not with --transport udp")
+                .in(1),
+            {"stats-out", &stats_out, nullptr,
+             "stats destination (default stderr); needs\n"
+             "--stats-interval-ms"},
+            {"worker", &worker, nullptr,
+             "worker mode: run gossip process N of a multi-process\n"
+             "run (set by the coordinator, as are the next two)"},
+            Flag("coord-port", &coord_port, nullptr,
+                 "worker mode: the coordinator's UDP port")
+                .in(0, 65535),
+            {"trace-out", &trace_out, nullptr,
+             "worker mode: where the worker writes its trace"}}),
+      args);
+  config.spec = s.finish("rt", given);
+  if (given.count("wire-seed") == 0) config.wire_faults.seed = config.spec.seed;
+  rt_inject_from_string(inject, &config.inject);
+  // udp: one OS process per gossip process (rt/multiproc.h).
+  const bool multiproc = transport == "udp";
+  if (transport != "inproc") config.transport = RtTransportKind::kUdp;
 
   // Worker mode: this invocation IS one gossip process of a multi-process
   // run (re-exec'd by the coordinator — UDP by definition, so the
   // wire-fault validation below does not apply); run it and exit.
-  if (has_flag(f, "worker")) {
-    const auto worker_id = static_cast<ProcessId>(get_u64(f, "worker", 0));
-    const auto coord_port =
-        static_cast<std::uint16_t>(get_u64(f, "coord-port", 0));
-    return run_rt_udp_worker(config, worker_id, coord_port,
-                             get_str(f, "trace-out", ""));
-  }
+  if (given.count("worker") != 0)
+    return run_rt_udp_worker(config, static_cast<ProcessId>(worker),
+                             static_cast<std::uint16_t>(coord_port),
+                             trace_out);
   if (config.wire_faults.any() &&
-      config.transport == RtTransportKind::kInProcess) {
-    std::fprintf(stderr,
-                 "gossiplab rt: --wire-* faults need --transport udp or "
-                 "udp-threads\n");
-    return 2;
-  }
-  if (has_flag(f, "coord-port") || has_flag(f, "trace-out")) {
-    std::fprintf(stderr,
-                 "gossiplab rt: --coord-port/--trace-out are worker-mode "
-                 "flags (set by the coordinator)\n");
-    return 2;
-  }
-  if (multiproc && (has_flag(f, "spans") || has_flag(f, "stats-interval-ms"))) {
-    std::fprintf(stderr,
-                 "gossiplab rt: --spans/--stats-interval-ms are not supported "
-                 "with --transport udp (multi-process)\n");
-    return 2;
-  }
-  if (has_flag(f, "spans")) config.flight = true;
-  if (has_flag(f, "stats-interval-ms")) {
-    config.stats_interval_ms = get_u64(f, "stats-interval-ms", 0);
-    if (config.stats_interval_ms == 0) {
-      std::fprintf(stderr,
-                   "gossiplab rt: --stats-interval-ms must be >= 1 "
-                   "(0 would busy-spin the snapshot thread)\n");
-      return 2;
-    }
-  }
+      config.transport == RtTransportKind::kInProcess)
+    usage_error("rt", "--wire-* faults need --transport udp or udp-threads");
+  if (given.count("coord-port") != 0 || given.count("trace-out") != 0)
+    usage_error("rt",
+                "--coord-port/--trace-out are worker-mode flags (set by the "
+                "coordinator)");
+  if (multiproc && (!spans.empty() || config.stats_interval_ms > 0))
+    usage_error("rt",
+                "--spans/--stats-interval-ms are not supported with "
+                "--transport udp (multi-process)");
+  if (!stats_out.empty() && config.stats_interval_ms == 0)
+    usage_error("rt", "--stats-out requires --stats-interval-ms");
+  config.flight = !spans.empty();
   std::ofstream stats_file;
   if (config.stats_interval_ms > 0) {
-    if (has_flag(f, "stats-out")) {
-      const std::string path = get_str(f, "stats-out", "stats.ndjson");
-      stats_file.open(path);
-      if (!stats_file) {
-        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-        return 2;
-      }
+    config.stats_out = &std::cerr;
+    if (!stats_out.empty()) {
+      if (!open_file(stats_out, &stats_file)) return 2;
       config.stats_out = &stats_file;
-    } else {
-      config.stats_out = &std::cerr;
     }
-  } else if (has_flag(f, "stats-out")) {
-    std::fprintf(stderr,
-                 "gossiplab rt: --stats-out requires --stats-interval-ms\n");
-    return 2;
   }
 
   RtRunResult res;
@@ -719,19 +639,8 @@ int cmd_rt(const Flags& f) {
   if (multiproc) {
     MultiprocConfig mc;
     mc.rt = config;
-    // Rebuild the argv tail reproducing this run's spec for the worker
-    // re-execs; boolean flags round-trip as "--key 1". Driver-local and
-    // output flags stay with the coordinator.
-    mc.worker_args.push_back("rt");
-    for (const auto& [key, value] : f) {
-      if (key == "record" || key == "out" || key == "spans" ||
-          key == "stats-interval-ms" || key == "stats-out" ||
-          key == "transport" || key == "worker" || key == "coord-port" ||
-          key == "trace-out" || key == "help")
-        continue;
-      mc.worker_args.push_back("--" + key);
-      mc.worker_args.push_back(value);
-    }
+    mc.worker_args = cli::flag_args(run_flags);
+    mc.worker_args.insert(mc.worker_args.begin(), "rt");
     mp = run_realtime_udp(mc);
     for (const std::string& err : mp.errors)
       std::fprintf(stderr, "rt multiproc: %s\n", err.c_str());
@@ -743,28 +652,20 @@ int cmd_rt(const Flags& f) {
     std::fprintf(stderr, "warning: %zu records dropped (trace is a prefix)\n",
                  res.events_dropped);
 
-  if (has_flag(f, "record")) {
-    const std::string path = get_str(f, "record", "rt.trace");
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 2;
-    }
+  if (!record.empty()) {
+    std::ofstream os;
+    if (!open_file(record, &os)) return 2;
     write_rt_trace(os, config, res);
-    std::fprintf(stderr, "wrote event log to %s\n", path.c_str());
+    std::fprintf(stderr, "wrote event log to %s\n", record.c_str());
   }
 
-  if (has_flag(f, "spans")) {
-    const std::string path = get_str(f, "spans", "rt.flight");
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 2;
-    }
+  if (!spans.empty()) {
+    std::ofstream os;
+    if (!open_file(spans, &os)) return 2;
     write_flight_log(os, rt_flight_header(config, res), res.flight);
     std::fprintf(stderr,
                  "wrote flight log to %s (%llu records, %llu dropped)\n",
-                 path.c_str(), (unsigned long long)res.flight.size(),
+                 spans.c_str(), (unsigned long long)res.flight.size(),
                  (unsigned long long)res.flight_dropped);
   }
 
@@ -797,7 +698,7 @@ int cmd_rt(const Flags& f) {
   TelemetryExportInfo info;
   info.run = {{"tool", "gossiplab rt"},
               {"runtime", multiproc ? "realtime-multiproc" : "realtime-threads"},
-              {"transport", transport_name.c_str()},
+              {"transport", transport.c_str()},
               {"algorithm", to_string(config.spec.algorithm)},
               {"inject", to_string(config.inject)}};
   info.summary = {
@@ -846,24 +747,8 @@ int cmd_rt(const Flags& f) {
 
   std::ostringstream doc;
   write_telemetry_json(doc, telemetry, info);
-  std::string json_err;
-  if (!json_valid(doc.str(), &json_err)) {
-    std::fprintf(stderr, "internal error: report is not valid JSON: %s\n",
-                 json_err.c_str());
-    return 3;
-  }
-  if (has_flag(f, "out")) {
-    const std::string path = get_str(f, "out", "rt.json");
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 2;
-    }
-    os << doc.str();
-    std::fprintf(stderr, "wrote telemetry report to %s\n", path.c_str());
-  } else {
-    std::fputs(doc.str().c_str(), stdout);
-  }
+  if (const int rc = write_json(doc.str(), out_path, "telemetry report"))
+    return rc;
 
   const bool ok = out.completed && audit.ok() &&
                   (!gathering_required || out.gathering_ok) &&
@@ -882,29 +767,20 @@ int cmd_rt(const Flags& f) {
   return ok ? 0 : 1;
 }
 
-int cmd_spans(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab spans --in FLIGHT.log [--out TRACE.json]\n"
-        "convert a flight log recorded by `gossiplab rt --spans` into Chrome\n"
-        "trace-event JSON (asyncgossip-spans-v1; open in ui.perfetto.dev) and\n"
-        "print the per-message delivery wall-latency percentiles next to the\n"
-        "realized d+delta budget\n"
-        "    --in PATH           flight log to read (required)\n"
-        "    --out PATH          write the Chrome trace-event JSON to PATH\n");
-    return 0;
-  }
-  check_flags("spans", f, {"in", "out"});
-  if (!has_flag(f, "in")) {
-    std::fprintf(stderr, "gossiplab spans: --in FLIGHT.log is required\n");
-    return 2;
-  }
-  const std::string in_path = get_str(f, "in", "rt.flight");
-  std::ifstream is(in_path);
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s for reading\n", in_path.c_str());
-    return 2;
-  }
+int cmd_spans(const Args& args) {
+  std::string in_path, out_path;
+  parse_flags(
+      "spans",
+      "convert a flight log recorded by `gossiplab rt --spans` into Chrome\n"
+      "trace-event JSON (asyncgossip-spans-v1; open in ui.perfetto.dev) and\n"
+      "print the per-message delivery wall-latency percentiles next to the\n"
+      "realized d+delta budget",
+      {Flag("in", &in_path, nullptr, "flight log to read").needed(),
+       {"out", &out_path, nullptr,
+        "write the Chrome trace-event JSON to PATH"}},
+      args);
+  std::ifstream is;
+  if (!open_file(in_path, &is)) return 2;
   FlightLogHeader header;
   std::vector<FlightRecord> records;
   std::string parse_err;
@@ -914,26 +790,12 @@ int cmd_spans(const Flags& f) {
     return 2;
   }
 
-  if (has_flag(f, "out")) {
+  if (!out_path.empty()) {
     std::ostringstream doc;
     write_chrome_trace(doc, header, records);
-    std::string json_err;
-    if (!json_valid(doc.str(), &json_err)) {
-      std::fprintf(stderr, "internal error: trace is not valid JSON: %s\n",
-                   json_err.c_str());
-      return 3;
-    }
-    const std::string out_path = get_str(f, "out", "spans.json");
-    std::ofstream os(out_path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-      return 2;
-    }
-    os << doc.str();
-    std::fprintf(stderr,
-                 "wrote Chrome trace-event JSON to %s (load it in "
-                 "ui.perfetto.dev or chrome://tracing)\n",
-                 out_path.c_str());
+    if (const int rc =
+            write_json(doc.str(), out_path, "Chrome trace-event JSON"))
+      return rc;
   }
 
   const SpanSummary s = summarize_spans(records);
@@ -961,36 +823,28 @@ int cmd_spans(const Flags& f) {
   return 0;
 }
 
-int cmd_fuzz(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab fuzz [flags]\n"
-        "sample oblivious-adversary configurations across every algorithm,\n"
-        "run each under the invariant auditor + gossip postconditions, and\n"
-        "shrink the first failing case to a replayable repro artifact\n"
-        "    --iters K           cases to sample (default 200)\n"
-        "    --seed S            fuzz stream seed (default 1)\n"
-        "    --budget-ms T       wall-clock budget, 0 = unlimited (default 0)\n"
-        "    --out PREFIX        artifact prefix; a failure writes\n"
-        "                        PREFIX.spec.json + PREFIX.trace (default\n"
-        "                        fuzz-repro)\n"
-        "    --inject NAME       test-only fault injection into an offline\n"
-        "                        copy of the event stream:\n"
-        "                        late-delivery|double-step|phantom-crash\n"
-        "exit status: 0 no failure found, 1 failure found and shrunk\n");
-    return 0;
-  }
-  check_flags("fuzz", f, {"iters", "seed", "budget-ms", "out", "inject"});
+int cmd_fuzz(const Args& args) {
   GossipFuzzOptions opt;
-  opt.fuzz.iterations = get_u64(f, "iters", 200);
-  opt.fuzz.seed = get_u64(f, "seed", 1);
-  opt.fuzz.time_budget_ms = get_u64(f, "budget-ms", 0);
-  opt.artifact_prefix = get_str(f, "out", "fuzz-repro");
-  const std::string inject = get_str(f, "inject", "");
-  if (!inject.empty() && !event_mutator_from_string(inject, &opt.mutate)) {
-    std::fprintf(stderr, "unknown --inject mutator: %s\n", inject.c_str());
-    return 2;
-  }
+  std::string inject;
+  parse_flags(
+      "fuzz",
+      "sample oblivious-adversary configurations across every algorithm,\n"
+      "run each under the invariant auditor + gossip postconditions, and\n"
+      "shrink the first failing case to a replayable repro artifact\n"
+      "exit status: 0 no failure found, 1 failure found and shrunk",
+      {{"iters", &opt.fuzz.iterations, "200", "cases to sample"},
+       {"seed", &opt.fuzz.seed, "1", "fuzz stream seed"},
+       {"budget-ms", &opt.fuzz.time_budget_ms, "0",
+        "wall-clock budget; 0 = unlimited"},
+       {"out", &opt.artifact_prefix, "fuzz-repro",
+        "artifact prefix; a failure writes PATH.spec.json and\n"
+        "PATH.trace"},
+       Flag("inject", &inject, nullptr,
+            "test-only fault injection into an offline copy of the\n"
+            "event stream")
+           .one_of({"late-delivery", "double-step", "phantom-crash"})},
+      args);
+  if (!inject.empty()) event_mutator_from_string(inject, &opt.mutate);
   std::ostringstream log;
   opt.log = &log;
   const GossipFuzzResult result = run_gossip_fuzz(opt);
@@ -1002,26 +856,18 @@ int cmd_fuzz(const Flags& f) {
   return 1;
 }
 
-int cmd_replay(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab replay --in ARTIFACT.spec.json\n"
-        "re-execute an asyncgossip-repro-v1 artifact (gossiplab fuzz output)\n"
-        "and verify the engine trace hash against the pinned fingerprint\n"
-        "exit status: 0 hash matches, 1 mismatch, 2 unreadable artifact\n");
-    return 0;
-  }
-  check_flags("replay", f, {"in"});
-  const std::string path = get_str(f, "in", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "replay: --in ARTIFACT.spec.json is required\n");
-    return 2;
-  }
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "replay: cannot open %s\n", path.c_str());
-    return 2;
-  }
+int cmd_replay(const Args& args) {
+  std::string path;
+  parse_flags(
+      "replay",
+      "re-execute an asyncgossip-repro-v1 artifact (gossiplab fuzz output)\n"
+      "and verify the engine trace hash against the pinned fingerprint\n"
+      "exit status: 0 hash matches, 1 mismatch, 2 unreadable artifact",
+      {Flag("in", &path, nullptr, "artifact to replay (ARTIFACT.spec.json)")
+           .needed()},
+      args);
+  std::ifstream is;
+  if (!open_file(path, &is)) return 2;
   ReproArtifact artifact;
   std::string error;
   if (!read_repro_json(is, &artifact, &error)) {
@@ -1036,39 +882,32 @@ int cmd_replay(const Flags& f) {
   return match ? 0 : 1;
 }
 
-int cmd_statcheck(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab statcheck [flags]\n"
-        "statistical check of the paper's Table 1 envelopes for EARS and\n"
-        "TEARS: per-cell trial batches, one-sided quantile tests, constant\n"
-        "fitted on the smallest-n calibration column\n"
-        "    --trials K          seeds per cell (default 12)\n"
-        "    --seed S            base seed (default 1)\n"
-        "    --jobs J            worker threads (default 0 = all hardware)\n"
-        "    --n N1,N2,...       population grid (default 12,16,24,32)\n"
-        "    --fpct P            crash budget as %% of n (default 25)\n"
-        "    --quantile Q        order statistic in (0,1] (default 0.9)\n"
-        "    --slack C           calibration slack factor (default 3.0)\n"
-        "    --out PATH          write asyncgossip-statcheck-v1 JSON to PATH\n"
-        "                        (default: stdout)\n"
-        "exit status: 0 all cells pass, 1 a cell failed, 3 internal error\n");
-    return 0;
-  }
-  check_flags("statcheck", f, {"trials", "seed", "jobs", "n", "fpct",
-                               "quantile", "slack", "out"});
+int cmd_statcheck(const Args& args) {
   GossipStatCheckOptions opt;
-  opt.trials = get_u64(f, "trials", 12);
-  opt.seed = get_u64(f, "seed", 1);
-  opt.jobs = get_u64(f, "jobs", 0);
-  if (has_flag(f, "n")) {
-    opt.ns.clear();
-    for (const std::uint64_t n : parse_list(get_str(f, "n", "")))
-      opt.ns.push_back(static_cast<std::size_t>(n));
-  }
-  opt.f_fraction = static_cast<double>(get_u64(f, "fpct", 25)) / 100.0;
-  opt.stat.quantile = get_double(f, "quantile", 0.9);
-  opt.stat.slack = get_double(f, "slack", 3.0);
+  std::uint64_t fpct = 0;
+  std::string out_path;
+  parse_flags(
+      "statcheck",
+      "statistical check of the paper's Table 1 envelopes for EARS and\n"
+      "TEARS: per-cell trial batches, one-sided quantile tests, constant\n"
+      "fitted on the smallest-n calibration column\n"
+      "exit status: 0 all cells pass, 1 a cell failed, 3 internal error",
+      {{"trials", &opt.trials, "12", "seeds per cell"},
+       {"seed", &opt.seed, "1", "base seed"},
+       {"jobs", &opt.jobs, "0", "worker threads; 0 = all hardware threads"},
+       Flag("n", &opt.ns, "12,16,24,32", "population grid").in(1),
+       Flag("fpct", &fpct, "25", "crash budget as % of n").in(0, 99),
+       Flag("quantile", &opt.stat.quantile, "0.9", "order statistic, > 0")
+           .in(0, 1),
+       Flag("slack", &opt.stat.slack, "3.0", "calibration slack factor, > 0")
+           .in(0),
+       {"out", &out_path, nullptr,
+        "write asyncgossip-statcheck-v1 JSON to PATH instead\n"
+        "of stdout"}},
+      args);
+  if (opt.stat.quantile == 0.0 || opt.stat.slack == 0.0)
+    usage_error("statcheck", "--quantile and --slack must be > 0");
+  opt.f_fraction = static_cast<double>(fpct) / 100.0;
   std::ostringstream log;
   opt.log = &log;
   const StatReport report = run_gossip_statcheck(opt);
@@ -1078,78 +917,57 @@ int cmd_statcheck(const Flags& f) {
   run_info.insert(run_info.begin(), {"tool", "gossiplab statcheck"});
   std::ostringstream doc;
   write_statcheck_json(doc, report, run_info);
-  std::string json_err;
-  if (!json_valid(doc.str(), &json_err)) {
-    std::fprintf(stderr, "internal error: statcheck report is not valid "
-                 "JSON: %s\n", json_err.c_str());
-    return 3;
-  }
-  if (has_flag(f, "out")) {
-    const std::string path = get_str(f, "out", "statcheck.json");
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 2;
-    }
-    os << doc.str();
-    std::fprintf(stderr, "wrote statcheck report to %s\n", path.c_str());
-  } else {
-    std::fputs(doc.str().c_str(), stdout);
-  }
+  if (const int rc = write_json(doc.str(), out_path, "statcheck report"))
+    return rc;
   return report.ok() ? 0 : 1;
 }
 
-// Shared replica-group flags consumed by group_from_flags (serve, and
-// loadgen's inproc target).
-#define GROUP_FLAG_LIST                                                       \
-  "alg", "algorithm", "n", "f", "d", "delta", "seed", "batch", "crashes",     \
-      "crash-horizon", "stall-p", "log"
+/// The replica-group flags of the service's consensus commit path (serve,
+/// and loadgen's inproc target), bound to a KvServiceConfig.
+struct GroupFlags {
+  svc::KvServiceConfig cfg;
+  std::string alg, log_path;
+  std::ofstream log_file;
 
-constexpr const char* kGroupFlagHelp =
-    "  replica-group flags (the service's consensus commit path):\n"
-    "    --alg NAME          cr-ears|cr-sears|cr-tears (default cr-tears)\n"
-    "    --algorithm NAME    alias for --alg\n"
-    "    --n N --f F         replicas / tolerated crashes (default 8, (n-1)/2)\n"
-    "    --d D --delta DD    per-slot delivery / scheduling bounds (default 2, 2)\n"
-    "    --seed S            group seed: fault plan + per-slot engines (default 1)\n"
-    "    --batch K           max commands per consensus slot (default 512)\n"
-    "    --crashes K         fault plan: replicas to crash over the run; may\n"
-    "                        exceed --f to exercise honest unavailability\n"
-    "    --crash-horizon T   crash slots drawn in [1, T] (default 64)\n"
-    "    --stall-p P         per-slot stall probability (d inflated 4x)\n"
-    "    --log PATH          stream the committed log (svc-log-v1) to PATH\n";
+  std::vector<Flag> rows() {
+    return {
+        Flag("alg", &alg, "cr-tears", "consensus algorithm of the commit path")
+            .aka("algorithm")
+            .one_of({"cr-ears", "cr-sears", "cr-tears"}),
+        {"n", &cfg.group.n, "8", "replicas"},
+        {"f", &cfg.group.f, nullptr,
+         "tolerated crashes, < n/2 (default (n-1)/2)"},
+        Flag("d", &cfg.group.d, "2", "per-slot delivery bound").in(1),
+        Flag("delta", &cfg.group.delta, "2", "per-slot scheduling bound").in(1),
+        {"seed", &cfg.group.seed, "1",
+         "group seed: fault plan + per-slot engines"},
+        Flag("batch", &cfg.batch_limit, "512",
+             "max commands per consensus slot")
+            .in(1),
+        {"crashes", &cfg.group.inject_crashes, "0",
+         "fault plan: replicas to crash over the run; may\n"
+         "exceed --f to exercise honest unavailability"},
+        {"crash-horizon", &cfg.group.crash_horizon_slots, "64",
+         "crash slots drawn in [1, N]"},
+        Flag("stall-p", &cfg.group.stall_probability, "0",
+             "per-slot stall probability (d inflated 4x)")
+            .in(0, 1),
+        {"log", &log_path, nullptr,
+         "stream the committed log (svc-log-v1) to PATH"},
+    };
+  }
 
-svc::ReplicaGroupConfig group_from_flags(const char* cmd, const Flags& f) {
-  svc::ReplicaGroupConfig g;
-  g.n = get_u64(f, "n", 8);
-  g.f = get_u64(f, "f", g.n >= 1 ? (g.n - 1) / 2 : 0);
-  g.algorithm =
-      parse_algorithm(get_str(f, "alg", get_str(f, "algorithm", "cr-tears")));
-  if (!is_consensus_algorithm(g.algorithm)) {
-    std::fprintf(stderr,
-                 "gossiplab %s: the service commits through consensus; --alg "
-                 "must be cr-ears|cr-sears|cr-tears\n",
-                 cmd);
-    std::exit(2);
+  /// Resolves the algorithm and the derived f, checks for a majority and
+  /// opens the --log file; false when it cannot be opened.
+  bool finish(const char* cmd, const Given& given) {
+    algorithm_from_string(alg, &cfg.group.algorithm);
+    if (given.count("f") == 0) cfg.group.f = (cfg.group.n - 1) / 2;
+    check_majority(cmd, cfg.group.n, cfg.group.f);
+    if (log_path.empty()) return true;
+    cfg.log_out = &log_file;
+    return open_file(log_path, &log_file);
   }
-  if (g.n < 3 || g.f >= (g.n + 1) / 2) {
-    std::fprintf(stderr,
-                 "gossiplab %s: need n >= 3 and f < n/2 (got n=%zu f=%zu)\n",
-                 cmd, g.n, g.f);
-    std::exit(2);
-  }
-  g.d = get_u64(f, "d", 2);
-  g.delta = get_u64(f, "delta", 2);
-  g.seed = get_u64(f, "seed", 1);
-  g.inject_crashes = get_u64(f, "crashes", 0);
-  g.crash_horizon_slots = get_u64(f, "crash-horizon", 64);
-  g.stall_probability = get_double(f, "stall-p", 0.0);
-  if (g.stall_probability < 0.0 || g.stall_probability > 1.0) {
-    std::fprintf(stderr, "gossiplab %s: --stall-p must be in [0,1]\n", cmd);
-    std::exit(2);
-  }
-  return g;
-}
+};
 
 /// Appends the service's slot/commit counters to a bench-v1 counter list.
 void append_service_counters(const svc::KvServiceStats& stats,
@@ -1167,80 +985,46 @@ void append_service_counters(const svc::KvServiceStats& stats,
             });
 }
 
-int write_bench_report(const Flags& f, const char* suite, BenchCaseRow row) {
-  const std::string path = get_str(f, "json", "");
+int write_bench_report(const std::string& path, const char* suite,
+                       BenchCaseRow row) {
   if (path.empty()) return 0;
   std::ostringstream doc;
   write_bench_json(doc, suite, {std::move(row)});
-  std::string json_err;
-  if (!json_valid(doc.str(), &json_err)) {
-    std::fprintf(stderr, "internal error: %s report is not valid JSON: %s\n",
-                 suite, json_err.c_str());
-    return 3;
-  }
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 2;
-  }
-  os << doc.str();
-  std::fprintf(stderr, "wrote %s report to %s\n", suite, path.c_str());
-  return 0;
+  return write_json(doc.str(), path, (std::string(suite) + " report").c_str());
 }
 
-int cmd_serve(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab serve --port P [flags]\n"
-        "run the replicated KV service behind a loopback UDP front-end for a\n"
-        "fixed duration, then print the serving counters (docs/SERVING.md)\n"
-        "    --port P            UDP port on 127.0.0.1 (required; 0 = ephemeral,\n"
-        "                        the bound port is printed on stdout)\n"
-        "    --duration S        seconds to serve (default 10)\n"
-        "    --json PATH         write an asyncgossip-bench-v1 report "
-        "(suite \"serve\")\n%s",
-        kGroupFlagHelp);
-    return 0;
-  }
-  check_flags("serve", f, {GROUP_FLAG_LIST, "port", "duration", "json"});
-  if (!has_flag(f, "port")) {
-    std::fprintf(stderr,
-                 "gossiplab serve: --port is required (0 = ephemeral)\n");
-    return 2;
-  }
-  const double duration = get_double(f, "duration", 10.0);
-  if (duration <= 0.0) {
-    std::fprintf(stderr, "gossiplab serve: --duration must be > 0\n");
-    return 2;
-  }
-  svc::KvServiceConfig cfg;
-  cfg.group = group_from_flags("serve", f);
-  cfg.batch_limit = get_u64(f, "batch", 512);
-  if (cfg.batch_limit == 0) {
-    std::fprintf(stderr, "gossiplab serve: --batch must be >= 1\n");
-    return 2;
-  }
-  std::ofstream log_file;
-  if (has_flag(f, "log")) {
-    log_file.open(get_str(f, "log", "svc.log"));
-    if (!log_file) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   get_str(f, "log", "svc.log").c_str());
-      return 2;
-    }
-    cfg.log_out = &log_file;
-  }
-  svc::KvService service(cfg);
-  svc::UdpKvServer server(&service,
-                          (std::uint16_t)get_u64(f, "port", 0));
+int cmd_serve(const Args& args) {
+  GroupFlags g;
+  std::uint64_t port = 0;
+  double duration = 0.0;
+  std::string json_path;
+  const Given given = parse_flags(
+      "serve",
+      "run the replicated KV service behind a loopback UDP front-end for a\n"
+      "fixed duration, then print the serving counters (docs/SERVING.md)",
+      join({Flag("port", &port, nullptr,
+                 "UDP port on 127.0.0.1; 0 = ephemeral, the bound port\n"
+                 "is printed on stdout")
+                .in(0, 65535)
+                .needed(),
+            {"duration", &duration, "10", "seconds to serve, > 0"},
+            {"json", &json_path, nullptr,
+             "write an asyncgossip-bench-v1 report (suite \"serve\")"}},
+           g.rows()),
+      args);
+  if (!(duration > 0.0)) usage_error("serve", "--duration must be > 0");
+  if (!g.finish("serve", given)) return 2;
+  svc::KvService service(g.cfg);
+  svc::UdpKvServer server(&service, static_cast<std::uint16_t>(port));
   if (!server.ok()) {
     std::fprintf(stderr, "gossiplab serve: cannot bind 127.0.0.1:%llu\n",
-                 (unsigned long long)get_u64(f, "port", 0));
+                 (unsigned long long)port);
     return 1;
   }
+  const svc::ReplicaGroupConfig& group = g.cfg.group;
   std::printf("serving on 127.0.0.1:%u (%s n=%zu f=%zu seed=%llu)\n",
-              (unsigned)server.port(), to_string(cfg.group.algorithm),
-              cfg.group.n, cfg.group.f, (unsigned long long)cfg.group.seed);
+              (unsigned)server.port(), to_string(group.algorithm), group.n,
+              group.f, (unsigned long long)group.seed);
   std::fflush(stdout);
   std::this_thread::sleep_for(std::chrono::duration<double>(duration));
   server.stop();
@@ -1261,103 +1045,77 @@ int cmd_serve(const Flags& f) {
               (unsigned long long)stats.consensus_bytes,
               (unsigned long long)stats.consensus_ticks);
   BenchCaseRow row;
-  row.name = std::string("serve/") + to_string(cfg.group.algorithm) +
-             "/n:" + std::to_string(cfg.group.n) +
-             "/seed:" + std::to_string(cfg.group.seed);
+  row.name = std::string("serve/") + to_string(group.algorithm) +
+             "/n:" + std::to_string(group.n) +
+             "/seed:" + std::to_string(group.seed);
   row.counters = {{"requests", (double)server.requests()},
                   {"malformed", (double)server.malformed()},
                   {"unavailable", (double)stats.unavailable}};
   append_service_counters(stats, &row.counters);
-  return write_bench_report(f, "serve", std::move(row));
+  return write_bench_report(json_path, "serve", std::move(row));
 }
 
-int cmd_loadgen(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab loadgen --target inproc|udp [flags]\n"
-        "drive an open-loop workload (request k due at k/rate seconds; never\n"
-        "paced by responses) and report commit-latency percentiles and\n"
-        "throughput; exit 1 when any request went unacked or unavailable\n"
-        "    --target KIND       inproc (own service in-process; the >= 1M\n"
-        "                        soak path) | udp (a running `gossiplab serve`)\n"
-        "    --port P            UDP target port on 127.0.0.1\n"
-        "    --rate R            requests/second; 0 = unpaced (default 0)\n"
-        "    --duration S        with --rate: issue for S seconds\n"
-        "                        (requests = rate * duration)\n"
-        "    --requests K        total requests (alternative to\n"
-        "                        --rate + --duration)\n"
-        "    --keys K            key space size (default 1024)\n"
-        "    --value-bytes B     value payload size, 1..4000 (default 16)\n"
-        "    --clients C         logical clients (default 4)\n"
-        "    --get-frac P --cas-frac P\n"
-        "                        workload mix (defaults 0.4, 0.1; rest puts)\n"
-        "    --obs PATH          stream observations (svc-obs-v1) to PATH for\n"
-        "                        `gossiplab histcheck`\n"
-        "    --drain-timeout S   UDP: grace for trailing responses (default 5)\n"
-        "    --json PATH         write an asyncgossip-bench-v1 report "
-        "(suite \"loadgen\")\n"
-        "  inproc also takes the replica-group flags:\n%s",
-        kGroupFlagHelp);
-    return 0;
-  }
-  check_flags("loadgen", f,
-              {GROUP_FLAG_LIST, "target", "port", "rate", "duration",
-               "requests", "keys", "value-bytes", "clients", "get-frac",
-               "cas-frac", "obs", "drain-timeout", "json"});
-  const std::string target = get_str(f, "target", "");
-  if (target != "inproc" && target != "udp") {
-    std::fprintf(stderr,
-                 "gossiplab loadgen: --target inproc|udp is required\n");
-    return 2;
-  }
+int cmd_loadgen(const Args& args) {
+  GroupFlags g;
   svc::LoadgenConfig lc;
-  lc.rate = get_double(f, "rate", 0.0);
-  if (lc.rate < 0.0) {
-    std::fprintf(stderr, "gossiplab loadgen: --rate must be >= 0\n");
-    return 2;
-  }
-  if (has_flag(f, "requests")) {
-    lc.requests = get_u64(f, "requests", 0);
-  } else {
-    const double duration = get_double(f, "duration", 0.0);
-    lc.requests = (std::uint64_t)(lc.rate * duration);
-  }
-  if (lc.requests == 0) {
-    std::fprintf(stderr,
-                 "gossiplab loadgen: need --requests K, or --rate R with "
-                 "--duration S\n");
-    return 2;
-  }
-  lc.keys = get_u64(f, "keys", 1024);
-  lc.value_bytes = get_u64(f, "value-bytes", 16);
-  // Tokens are capped at 4096 printable bytes and a request datagram must
-  // fit the 8 KiB receive buffer with headroom for the other fields.
-  if (lc.keys == 0 || lc.value_bytes == 0 || lc.value_bytes > 4000) {
-    std::fprintf(stderr,
-                 "gossiplab loadgen: --keys must be >= 1 and --value-bytes "
-                 "in 1..4000\n");
-    return 2;
-  }
-  lc.seed = get_u64(f, "seed", 1);
-  lc.clients = get_u64(f, "clients", 4);
-  lc.get_fraction = get_double(f, "get-frac", 0.4);
-  lc.cas_fraction = get_double(f, "cas-frac", 0.1);
-  if (lc.get_fraction < 0.0 || lc.cas_fraction < 0.0 ||
-      lc.get_fraction + lc.cas_fraction > 1.0) {
-    std::fprintf(stderr,
-                 "gossiplab loadgen: --get-frac/--cas-frac must be >= 0 and "
-                 "sum to <= 1\n");
-    return 2;
-  }
-  lc.drain_timeout_s = get_double(f, "drain-timeout", 5.0);
+  std::string target, obs_path, json_path;
+  std::uint64_t port = 0;
+  double duration = 0.0;
+  const Given given = parse_flags(
+      "loadgen",
+      "drive an open-loop workload (request k due at k/rate seconds; never\n"
+      "paced by responses) and report commit-latency percentiles and\n"
+      "throughput; exit 1 when any request went unacked or unavailable.\n"
+      "The replica-group flags (--alg to --log) apply to --target inproc",
+      join({Flag("target", &target, nullptr,
+                 "inproc: own service in-process (the >= 1M soak\n"
+                 "path); udp: a running `gossiplab serve`")
+                .one_of({"inproc", "udp"})
+                .needed(),
+            Flag("port", &port, nullptr,
+                 "UDP target port on 127.0.0.1 (needed by --target udp)")
+                .in(1, 65535),
+            Flag("rate", &lc.rate, "0", "requests/second; 0 = unpaced").in(0),
+            {"duration", &duration, nullptr,
+             "with --rate: issue for X seconds (requests = rate *\n"
+             "duration)"},
+            {"requests", &lc.requests, nullptr,
+             "total requests (instead of --rate + --duration)"},
+            Flag("keys", &lc.keys, "1024", "key space size").in(1),
+            // Tokens are capped at 4096 printable bytes and a request
+            // datagram must fit the 8 KiB receive buffer with headroom for
+            // the other fields.
+            Flag("value-bytes", &lc.value_bytes, "16", "value payload size")
+                .in(1, 4000),
+            Flag("clients", &lc.clients, "4", "logical clients").in(1),
+            Flag("get-frac", &lc.get_fraction, "0.4", "share of gets")
+                .in(0, 1),
+            Flag("cas-frac", &lc.cas_fraction, "0.1",
+                 "share of compare-and-sets; the rest are puts")
+                .in(0, 1),
+            {"obs", &obs_path, nullptr,
+             "stream observations (svc-obs-v1) to PATH for\n"
+             "`gossiplab histcheck`"},
+            Flag("drain-timeout", &lc.drain_timeout_s, "5",
+                 "udp: grace in seconds for trailing responses")
+                .in(0),
+            {"json", &json_path, nullptr,
+             "write an asyncgossip-bench-v1 report (suite\n"
+             "\"loadgen\")"}},
+           g.rows()),
+      args);
+  if (given.count("requests") == 0)
+    lc.requests = static_cast<std::uint64_t>(lc.rate * duration);
+  if (lc.requests == 0)
+    usage_error("loadgen", "need --requests K, or --rate R with --duration S");
+  if (lc.get_fraction + lc.cas_fraction > 1.0)
+    usage_error("loadgen", "--get-frac + --cas-frac must be <= 1");
+  if (target == "udp" && given.count("port") == 0)
+    usage_error("loadgen", "--target udp needs --port");
+  lc.seed = g.cfg.group.seed;
   std::ofstream obs_file;
-  if (has_flag(f, "obs")) {
-    obs_file.open(get_str(f, "obs", "svc.obs"));
-    if (!obs_file) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   get_str(f, "obs", "svc.obs").c_str());
-      return 2;
-    }
+  if (!obs_path.empty()) {
+    if (!open_file(obs_path, &obs_file)) return 2;
     lc.obs_out = &obs_file;
   }
 
@@ -1365,33 +1123,11 @@ int cmd_loadgen(const Flags& f) {
   svc::KvServiceStats stats;
   bool have_stats = false;
   if (target == "udp") {
-    const std::uint64_t port = get_u64(f, "port", 0);
-    if (port == 0 || port > 65535) {
-      std::fprintf(stderr,
-                   "gossiplab loadgen: --target udp needs --port 1..65535\n");
-      return 2;
-    }
-    lc.udp_port = (std::uint16_t)port;
+    lc.udp_port = static_cast<std::uint16_t>(port);
     report = svc::run_loadgen(lc);
   } else {
-    svc::KvServiceConfig cfg;
-    cfg.group = group_from_flags("loadgen", f);
-    cfg.batch_limit = get_u64(f, "batch", 512);
-    if (cfg.batch_limit == 0) {
-      std::fprintf(stderr, "gossiplab loadgen: --batch must be >= 1\n");
-      return 2;
-    }
-    std::ofstream log_file;
-    if (has_flag(f, "log")) {
-      log_file.open(get_str(f, "log", "svc.log"));
-      if (!log_file) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     get_str(f, "log", "svc.log").c_str());
-        return 2;
-      }
-      cfg.log_out = &log_file;
-    }
-    svc::KvService service(cfg);
+    if (!g.finish("loadgen", given)) return 2;
+    svc::KvService service(g.cfg);
     lc.inproc = &service;
     report = svc::run_loadgen(lc);
     service.stop();
@@ -1437,43 +1173,29 @@ int cmd_loadgen(const Flags& f) {
       {"wall_ms", report.wall_ms},
   };
   if (have_stats) append_service_counters(stats, &row.counters);
-  const int json_rc = write_bench_report(f, "loadgen", std::move(row));
-  if (json_rc != 0) return json_rc;
+  if (const int rc = write_bench_report(json_path, "loadgen", std::move(row)))
+    return rc;
   return report.complete ? 0 : 1;
 }
 
-int cmd_histcheck(const Flags& f) {
-  if (has_flag(f, "help")) {
-    std::printf(
-        "usage: gossiplab histcheck --log LOG --obs OBS\n"
-        "check a committed log (svc-log-v1) against a client observation\n"
-        "stream (svc-obs-v1): dense sequencing, replay-consistent results\n"
-        "(no stale reads / lost CAS), acked observations present in the log\n"
-        "field-for-field, per-client session order, and no trace of\n"
-        "unavailable-acked requests\n"
-        "    --log PATH          committed log (serve/loadgen --log)\n"
-        "    --obs PATH          observation stream (loadgen --obs)\n"
-        "exit status: 0 history checks out, 1 violation found, 2 unreadable\n");
-    return 0;
-  }
-  check_flags("histcheck", f, {"log", "obs"});
-  if (!has_flag(f, "log") || !has_flag(f, "obs")) {
-    std::fprintf(stderr,
-                 "gossiplab histcheck: --log LOG and --obs OBS are required\n");
+int cmd_histcheck(const Args& args) {
+  std::string log_path, obs_path;
+  parse_flags(
+      "histcheck",
+      "check a committed log (svc-log-v1) against a client observation\n"
+      "stream (svc-obs-v1): dense sequencing, replay-consistent results\n"
+      "(no stale reads / lost CAS), acked observations present in the log\n"
+      "field-for-field, per-client session order, and no trace of\n"
+      "unavailable-acked requests\n"
+      "exit status: 0 history checks out, 1 violation found, 2 unreadable",
+      {Flag("log", &log_path, nullptr, "committed log (serve/loadgen --log)")
+           .needed(),
+       Flag("obs", &obs_path, nullptr, "observation stream (loadgen --obs)")
+           .needed()},
+      args);
+  std::ifstream log_is, obs_is;
+  if (!open_file(log_path, &log_is) || !open_file(obs_path, &obs_is))
     return 2;
-  }
-  const std::string log_path = get_str(f, "log", "svc.log");
-  const std::string obs_path = get_str(f, "obs", "svc.obs");
-  std::ifstream log_is(log_path);
-  if (!log_is) {
-    std::fprintf(stderr, "cannot open %s for reading\n", log_path.c_str());
-    return 2;
-  }
-  std::ifstream obs_is(obs_path);
-  if (!obs_is) {
-    std::fprintf(stderr, "cannot open %s for reading\n", obs_path.c_str());
-    return 2;
-  }
   std::vector<svc::CommittedEntry> log;
   std::vector<svc::Observation> observations;
   std::string error;
@@ -1498,13 +1220,30 @@ int cmd_histcheck(const Flags& f) {
   return 0;
 }
 
+struct Subcommand {
+  const char* name;
+  int (*run)(const Args&);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"gossip", cmd_gossip},       {"sweep", cmd_sweep},
+    {"consensus", cmd_consensus}, {"lowerbound", cmd_lowerbound},
+    {"trace", cmd_trace},         {"report", cmd_report},
+    {"rt", cmd_rt},               {"spans", cmd_spans},
+    {"fuzz", cmd_fuzz},           {"replay", cmd_replay},
+    {"statcheck", cmd_statcheck}, {"serve", cmd_serve},
+    {"loadgen", cmd_loadgen},     {"histcheck", cmd_histcheck},
+};
+
 void usage() {
+  std::string names;
+  for (const Subcommand& c : kSubcommands)
+    names += (names.empty() ? "" : "|") + std::string(c.name);
   std::fprintf(stderr,
-               "usage: gossiplab <gossip|sweep|consensus|lowerbound|trace|"
-               "report|rt|spans|fuzz|replay|statcheck|serve|loadgen|"
-               "histcheck> [--flag value ...]\n"
+               "usage: gossiplab <%s> [--flag value ...]\n"
                "run `gossiplab <subcommand> --help` for flags, or see the\n"
-               "tools/gossiplab.cpp header for examples\n");
+               "tools/gossiplab.cpp header for examples\n",
+               names.c_str());
 }
 
 }  // namespace
@@ -1514,37 +1253,24 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  const std::string cmd = argv[1];
+  if (cmd == "--help" || cmd == "help") {
+    usage();
+    return 0;
+  }
   // Install the cr-* consensus palette entries and the ConsensusPayload wire
   // codec up front: multi-process `rt --transport udp` workers re-exec this
   // binary, so registration here covers coordinator and workers alike.
   register_consensus_algorithms();
   svc::register_consensus_wire();
   try {
-    const std::string cmd = argv[1];
-    const Flags flags = parse_flags(argc, argv, 2);
-    if (cmd == "gossip") return cmd_gossip(flags);
-    if (cmd == "sweep") return cmd_sweep(flags);
-    if (cmd == "consensus") return cmd_consensus(flags);
-    if (cmd == "lowerbound") return cmd_lowerbound(flags);
-    if (cmd == "trace") return cmd_trace(flags);
-    if (cmd == "report") return cmd_report(flags);
-    if (cmd == "rt") return cmd_rt(flags);
-    if (cmd == "spans") return cmd_spans(flags);
-    if (cmd == "fuzz") return cmd_fuzz(flags);
-    if (cmd == "replay") return cmd_replay(flags);
-    if (cmd == "statcheck") return cmd_statcheck(flags);
-    if (cmd == "serve") return cmd_serve(flags);
-    if (cmd == "loadgen") return cmd_loadgen(flags);
-    if (cmd == "histcheck") return cmd_histcheck(flags);
-    if (cmd == "--help" || cmd == "help") {
-      usage();
-      return 0;
-    }
-    std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
+    for (const Subcommand& c : kSubcommands)
+      if (cmd == c.name) return c.run(Args(argv + 2, argv + argc));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gossiplab: %s\n", e.what());
     return 3;
   }
+  std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
   usage();
   return 2;
 }
