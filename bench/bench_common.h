@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "gossip/harness.h"
 #include "sim/telemetry_export.h"
 
@@ -65,13 +66,18 @@ class BenchReport {
 /// Snapshots a finished case's user counters into the report under `label`
 /// (this benchmark version exposes no State::name(), so the caller supplies
 /// one — GossipAccumulator::flush derives it from the spec). Call after the
-/// counters are final.
+/// counters are final. The snapshot sees raw counter values, before Google
+/// Benchmark divides kIsRate counters by time, so a rate must be computed
+/// by the case from its own timed loop; a kIsRate counter aborts here.
 inline void record_case(const benchmark::State& state,
                         const std::string& label) {
   std::vector<std::pair<std::string, double>> counters;
   counters.reserve(state.counters.size());
-  for (const auto& [name, counter] : state.counters)
+  for (const auto& [name, counter] : state.counters) {
+    AG_ASSERT_MSG((counter.flags & benchmark::Counter::kIsRate) == 0,
+                  "record_case would report a kIsRate counter's raw total");
     counters.emplace_back(name, static_cast<double>(counter.value));
+  }
   BenchReport::instance().add_case(label, std::move(counters));
 }
 

@@ -17,7 +17,10 @@
 //             (the trivial algorithm's n^2 burst), then stays silent.
 //
 //   counters : steps_per_sec (global simulated steps / wall second),
-//              envelopes_per_sec (deliveries / wall second),
+//              envelopes_per_sec (deliveries / wall second) — both timed
+//              by the case itself over its whole iteration loop (engine
+//              construction included), since the JSON report sees counter
+//              values before Google Benchmark's rate division,
 //              steps, envelopes (totals per iteration, for sanity),
 //              arena_slab_allocs / arena_slab_reuses — the allocation
 //              tripwire: once warm, the slab arena must serve the run from
@@ -30,9 +33,10 @@
 // Engines honor AG_ENGINE_JOBS (default_engine_jobs), so sharded stepping
 // can be benched without a rebuild; results are bit-identical either way.
 //
-// Run `AG_BENCH_JSON=BENCH_engine.json ./bench_engine` to (re)generate the
-// repo's engine perf trajectory; BENCH_engine_seed.json is the frozen
-// baseline of the previous engine generation. See docs/PERFORMANCE.md.
+// Run `AG_ENGINE_JOBS=1 AG_BENCH_JSON=BENCH_engine.json ./bench_engine` to
+// (re)generate the repo's engine perf trajectory; BENCH_engine_seed.json is
+// the committed baseline CI gates against. See docs/PERFORMANCE.md.
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -169,6 +173,7 @@ void run_engine_case(benchmark::State& state, Workload w, const char* name,
   double total_slab_allocs = 0;
   double total_slab_reuses = 0;
   std::uint64_t seed = 20011;
+  const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     Engine engine = make_engine(w, n, fanout, d, delta, seed++);
     engine.run(steps);
@@ -179,11 +184,12 @@ void run_engine_case(benchmark::State& state, Workload w, const char* name,
     total_slab_reuses += static_cast<double>(arena.slab_reuses);
     benchmark::DoNotOptimize(engine.trace_hash());
   }
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
   const double iters = static_cast<double>(state.iterations());
-  state.counters["steps_per_sec"] =
-      benchmark::Counter(total_steps, benchmark::Counter::kIsRate);
-  state.counters["envelopes_per_sec"] =
-      benchmark::Counter(total_envelopes, benchmark::Counter::kIsRate);
+  state.counters["steps_per_sec"] = total_steps / wall_s;
+  state.counters["envelopes_per_sec"] = total_envelopes / wall_s;
   state.counters["steps"] = total_steps / iters;
   state.counters["envelopes"] = total_envelopes / iters;
   // Allocation tripwire (docs/PERFORMANCE.md): slab growth is bounded by the

@@ -46,18 +46,50 @@ std::unique_ptr<Process> EngineView::fork_process(ProcessId p) const {
 
 namespace {
 
-/// Materializes the borrowed Envelope view of arena entry `e` (see
-/// sim/message.h on view lifetimes).
-Envelope view_of(const EnvelopeArena& arena, const PayloadPool& pool,
-                 std::size_t e) {
+/// Materializes the borrowed Envelope view of arena entry `e`, held in
+/// `to`'s wheel (see sim/message.h on view lifetimes).
+Envelope view_of(const EnvelopeArena::Entry& e, ProcessId to,
+                 const PayloadPool& pool) {
   Envelope env;
-  env.id = arena.id_[e];
-  env.from = arena.from_[e];
-  env.to = arena.to_[e];
-  env.send_time = arena.send_time_[e];
-  env.deliver_after = arena.deliver_after_[e];
-  env.payload = PayloadRef::borrowed(pool.raw(arena.payload_[e]));
+  env.id = e.id;
+  env.from = e.from;
+  env.to = to;
+  env.send_time = e.send_time;
+  env.deliver_after = e.deliver_after;
+  env.payload = PayloadRef::borrowed(pool.raw(e.payload));
   return env;
+}
+
+/// Visits the entries of `count` bucket chains in global send order: every
+/// chain is id-sorted, so repeatedly taking the minimum head id is a k-way
+/// merge with no copy-then-sort. Delivery (run_slot) and pending_for share
+/// it, so they cannot disagree on order. `cursors` is scratch.
+template <typename F>
+void merge_chains(const EnvelopeArena& arena,
+                  const EnvelopeArena::Bucket* chains, std::size_t count,
+                  std::vector<EnvelopeArena::Cursor>& cursors, F&& visit) {
+  cursors.clear();
+  for (std::size_t i = 0; i < count; ++i)
+    if (!arena.chain_empty(chains[i]))
+      cursors.push_back(arena.cursor(chains[i]));
+  if (cursors.size() == 1) {
+    for (EnvelopeArena::Cursor& c = cursors[0]; !arena.at_end(c);
+         arena.advance(c))
+      visit(arena.at(c));
+    return;
+  }
+  for (;;) {
+    std::size_t best = cursors.size();
+    MessageId best_id = kNoMessageId;  // never a real id
+    for (std::size_t i = 0; i < cursors.size(); ++i)
+      if (!arena.at_end(cursors[i]) && arena.at(cursors[i]).id < best_id) {
+        best = i;
+        best_id = arena.at(cursors[i]).id;
+      }
+    if (best == cursors.size()) return;
+    visit(arena.at(cursors[best]));
+    arena.advance(cursors[best]);
+  }
 }
 
 }  // namespace
@@ -127,35 +159,15 @@ bool Engine::run_until(FunctionRef<bool(const Engine&)> done, Time max_steps) {
 std::vector<Envelope> Engine::pending_for(ProcessId p) const {
   std::vector<Envelope> out;
   out.reserve(pending_count_[p]);
-  if (pending_count_[p] == 0) return out;
-  const std::size_t base = p * wheel_width_;
-  // Same k-way chain merge as the delivery path: every bucket chain is
-  // id-sorted (ids are assigned in send order at insertion), so repeatedly
-  // taking the minimum head id yields global send order directly — no
-  // copy-everything-then-sort.
-  std::vector<EnvelopeArena::Cursor> heads;
-  heads.reserve(wheel_width_);
-  for (std::size_t s = 0; s < wheel_width_; ++s)
-    if (!arena_.chain_empty(wheel_[base + s]))
-      heads.push_back(arena_.cursor(wheel_[base + s]));
-  for (;;) {
-    std::size_t best = heads.size();
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (arena_.at_end(heads[i])) continue;
-      if (best == heads.size() ||
-          arena_.id_[arena_.entry(heads[i])] <
-              arena_.id_[arena_.entry(heads[best])])
-        best = i;
-    }
-    if (best == heads.size()) break;
-    const std::size_t e = arena_.entry(heads[best]);
-    Envelope env = view_of(arena_, payloads_, e);
-    // Callers (the adaptive adversary) may retain these past the next step:
-    // hand out owning references.
-    env.payload = PayloadRef(payloads_.share(arena_.payload_[e]));
-    out.push_back(std::move(env));
-    arena_.advance(heads[best]);
-  }
+  std::vector<EnvelopeArena::Cursor> cursors;
+  merge_chains(arena_, &wheel_[p * wheel_width_], wheel_width_, cursors,
+               [&](const EnvelopeArena::Entry& e) {
+                 Envelope env = view_of(e, p, payloads_);
+                 // Callers (the adaptive adversary) may retain these past
+                 // the next step: hand out owning references.
+                 env.payload = PayloadRef(payloads_.share(e.payload));
+                 out.push_back(std::move(env));
+               });
   return out;
 }
 
@@ -165,7 +177,13 @@ void Engine::for_each_pending(ProcessId p,
   for (std::size_t s = 0; s < wheel_width_; ++s)
     for (EnvelopeArena::Cursor c = arena_.cursor(wheel_[base + s]);
          !arena_.at_end(c); arena_.advance(c))
-      if (!fn(view_of(arena_, payloads_, arena_.entry(c)))) return;
+      if (!fn(view_of(arena_.at(c), p, payloads_))) return;
+}
+
+void Engine::release_chain(EnvelopeArena::Bucket& b) {
+  arena_.for_chain(
+      b, [&](const EnvelopeArena::Entry& e) { payloads_.release(e.payload); });
+  arena_.recycle(b);
 }
 
 void Engine::hash_mix(std::uint64_t v) {
@@ -188,12 +206,8 @@ void Engine::apply_crashes(const std::vector<ProcessId>& crash_list) {
     in_flight_total_ -= pending_count_[p];
     pending_count_[p] = 0;
     const std::size_t base = p * wheel_width_;
-    for (std::size_t s = 0; s < wheel_width_; ++s) {
-      EnvelopeArena::Bucket& b = wheel_[base + s];
-      arena_.for_chain(
-          b, [&](std::size_t e) { payloads_.release(arena_.payload_[e]); });
-      arena_.recycle(b);
-    }
+    for (std::size_t s = 0; s < wheel_width_; ++s)
+      release_chain(wheel_[base + s]);
     hash_mix(0xC0DEull ^ p);
   }
 }
@@ -227,7 +241,6 @@ const std::vector<ProcessId>& Engine::effective_schedule(
 
 void Engine::run_slot(ProcessId p, SlotResult& slot, FlightRing* ring) {
   slot.delivered.clear();
-  slot.payload_handles.clear();
   slot.drained.clear();
   slot.outbox.clear();
   slot.probes.clear();
@@ -250,34 +263,13 @@ void Engine::run_slot(ProcessId p, SlotResult& slot, FlightRing* ring) {
           b = EnvelopeArena::Bucket{};
         }
       }
-      if (slot.drained.size() == 1) {
-        arena_.for_chain(slot.drained[0], [&](std::size_t e) {
-          slot.delivered.push_back(view_of(arena_, payloads_, e));
-          slot.payload_handles.push_back(arena_.payload_[e]);
-        });
-      } else if (!slot.drained.empty()) {
-        const FlightZone merge_zone(ring, FlightZoneId::kKwayMerge, p, now_);
-        // Merge the due chains back into global send order by message id
-        // (each chain is already id-sorted).
-        slot.cursors.clear();
-        for (const EnvelopeArena::Bucket& b : slot.drained)
-          slot.cursors.push_back(arena_.cursor(b));
-        for (;;) {
-          std::size_t best = slot.cursors.size();
-          for (std::size_t i = 0; i < slot.cursors.size(); ++i) {
-            if (arena_.at_end(slot.cursors[i])) continue;
-            if (best == slot.cursors.size() ||
-                arena_.id_[arena_.entry(slot.cursors[i])] <
-                    arena_.id_[arena_.entry(slot.cursors[best])])
-              best = i;
-          }
-          if (best == slot.cursors.size()) break;
-          const std::size_t e = arena_.entry(slot.cursors[best]);
-          slot.delivered.push_back(view_of(arena_, payloads_, e));
-          slot.payload_handles.push_back(arena_.payload_[e]);
-          arena_.advance(slot.cursors[best]);
-        }
-      }
+      // Only a multi-chain drain is a real merge worth a profiling zone.
+      const FlightZone merge_zone(slot.drained.size() > 1 ? ring : nullptr,
+                                  FlightZoneId::kKwayMerge, p, now_);
+      merge_chains(arena_, slot.drained.data(), slot.drained.size(),
+                   slot.cursors, [&](const EnvelopeArena::Entry& e) {
+                     slot.delivered.push_back(view_of(e, p, payloads_));
+                   });
     }
   }
   StepContext ctx(p, processes_.size(), local_steps_[p], slot.delivered,
@@ -315,9 +307,9 @@ void Engine::merge_slot(ProcessId p, SlotResult& slot) {
   dispatch_sends(p, slot.outbox);
   slot.outbox.clear();
   // Delivered payload references and slabs are dead past this point: the
-  // process step consumed the views and every observer has run.
-  for (const std::uint32_t h : slot.payload_handles) payloads_.release(h);
-  for (EnvelopeArena::Bucket& b : slot.drained) arena_.recycle(b);
+  // process step consumed the views and every observer has run. A drained
+  // chain holds exactly the delivered entries.
+  for (EnvelopeArena::Bucket& b : slot.drained) release_chain(b);
   last_step_time_[p] = now_;
   stepped_once_[p] = true;
   ++local_steps_[p];
@@ -328,6 +320,11 @@ void Engine::merge_slot(ProcessId p, SlotResult& slot) {
 void Engine::dispatch_sends(ProcessId from,
                             std::vector<StepContext::Outgoing>& out) {
   const EngineView view(*this);
+  // Payloads are immutable and each stays alive until the loop ends (in
+  // the pool or in `out`), so a pointer memo cannot go stale: a fan-out of
+  // one payload is sized once.
+  const Payload* sized = nullptr;
+  std::size_t size = 0;
   for (StepContext::Outgoing& o : out) {
     AG_ASSERT_MSG(o.to < processes_.size(), "send target out of range");
     Envelope env;
@@ -339,8 +336,11 @@ void Engine::dispatch_sends(ProcessId from,
     Time delay = adversary_->message_delay(env, view);
     delay = std::clamp<Time>(delay, 1, config_.d);
     env.deliver_after = now_ + delay;
-    metrics_.record_send(from, now_,
-                         env.payload ? env.payload->byte_size() : 0);
+    if (env.payload.get() != sized) {
+      sized = env.payload.get();
+      size = sized != nullptr ? sized->byte_size() : 0;
+    }
+    metrics_.record_send(from, now_, size);
     for (EngineObserver* obs : observers_) obs->on_send(env);
     if (flight_ != nullptr)
       flight_record_send(flight_, env.id, env.from, env.to, now_,
@@ -350,8 +350,8 @@ void Engine::dispatch_sends(ProcessId from,
     // Interning after the crash check keeps doomed payloads out of the pool;
     // intern + append in send order keeps every chain sorted by message id.
     const std::uint32_t handle = payloads_.intern(std::move(o.payload));
-    arena_.append(bucket(env.to, env.deliver_after), env.id, env.from, env.to,
-                  env.send_time, env.deliver_after, handle);
+    arena_.append(bucket(env.to, env.deliver_after),
+                  {env.id, env.send_time, env.deliver_after, env.from, handle});
     ++pending_count_[env.to];
     ++in_flight_total_;
   }

@@ -21,9 +21,10 @@
 // most (last step, now + d] and the engine's delta enforcement keeps
 // now - last step <= delta, so the span is < W (see docs/PERFORMANCE.md
 // for the proof sketch). Since the data-oriented core, a bucket is an
-// 8-byte slab-chain header into the struct-of-arrays EnvelopeArena
-// (sim/envelope_arena.h) and payloads are interned in its PayloadPool, so
-// steady-state send/deliver allocates nothing and moves no shared_ptr.
+// 8-byte slab-chain header into the EnvelopeArena, which stores each
+// envelope as one packed 32-byte record (sim/envelope_arena.h), and
+// payloads are interned in its PayloadPool, so steady-state send/deliver
+// allocates nothing and moves no shared_ptr.
 // Buckets hold envelopes in send order and due buckets are merged back
 // into global send order by message id, which keeps delivery order — and
 // therefore trace_hash and all Metrics — bit-identical to the historical
@@ -193,7 +194,6 @@ class Engine {
   /// merge_slot only.
   struct SlotResult {
     std::vector<Envelope> delivered;
-    std::vector<std::uint32_t> payload_handles;
     std::vector<EnvelopeArena::Bucket> drained;
     std::vector<EnvelopeArena::Cursor> cursors;
     std::vector<StepContext::Outgoing> outbox;
@@ -225,6 +225,9 @@ class Engine {
   /// leaves `out` itself to the caller for reuse.
   void dispatch_sends(ProcessId from, std::vector<StepContext::Outgoing>& out);
   void hash_mix(std::uint64_t v);
+  /// Drops the pool reference of every entry in `b`'s chain and returns
+  /// its slabs to the arena free list.
+  void release_chain(EnvelopeArena::Bucket& b);
 
   EnvelopeArena::Bucket& bucket(ProcessId p, Time slot_time) {
     return wheel_[p * wheel_width_ + static_cast<std::size_t>(

@@ -7,18 +7,21 @@
 // bucket, and the drain fast path swapped each bucket's capacity away, so
 // the steady state performed ~1 reallocation per bucket per wheel turn
 // (about 20% of engine wall time under gprof). Here a bucket is an 8-byte
-// {head, tail} pair chaining fixed-size slabs of envelope slots, and the
-// envelope fields live in global struct-of-arrays vectors indexed by
-// slot = slab * kSlabEntries + i:
+// {head, tail} pair chaining fixed-size slabs of envelope slots, and each
+// envelope is one packed 32-byte Entry record in a global vector indexed
+// by slot = slab * kSlabEntries + i:
 //
-//   id / from / to / send_time / deliver_after / payload-index
+//   { id, send_time, deliver_after, from, payload-index }
 //
-// Slabs are recycled through an intrusive free list (slab_next_ doubles as
-// the free-list link), so once the arena has grown to the execution's
-// standing in-flight volume, send and deliver allocate nothing. Appending
-// preserves send order within a chain, and message ids are assigned
-// monotonically by the engine, so every chain is id-sorted — the property
-// the k-way due-bucket merge relies on.
+// The receiver is not stored: every entry in p's wheel is addressed to p,
+// so the engine fills `to` in when it materializes a view.
+//
+// Slabs are recycled through an intrusive free list (a slab's `next` link
+// doubles as the free-list link), so once the arena has grown to the
+// execution's standing in-flight volume, send and deliver allocate
+// nothing. Appending preserves send order within a chain, and message ids
+// are assigned monotonically by the engine, so every chain is id-sorted —
+// the property the k-way due-bucket merge relies on.
 //
 // Payloads are interned in PayloadPool: envelopes store a 32-bit pool
 // handle instead of a shared_ptr, so fanning one payload out to k
@@ -31,7 +34,7 @@
 //
 // Thread-safety: none — the arena and pool are engine-internal state,
 // mutated only from the engine thread (the shard pool's worker phase reads
-// entry fields and payload pointers but defers every mutation — slab
+// entries and payload pointers but defers every mutation — slab
 // recycling, pool releases, appends — to the serial merge; see
 // sim/engine.cpp).
 #pragma once
@@ -147,9 +150,8 @@ class PayloadPool {
   std::uint64_t peak_ = 0;
 };
 
-/// The slab arena. Entry fields are public parallel vectors: the engine's
-/// drain/merge loops and the arena tests index them directly — the point of
-/// the layout is that hot paths touch exactly the fields they need.
+/// The slab arena. The engine's drain/merge loops and the arena tests read
+/// entries through cursors, for_chain and at().
 class EnvelopeArena {
  public:
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -163,6 +165,16 @@ class EnvelopeArena {
   /// cache; 2 halves the per-slab amortization of chain links for no
   /// large-n gain on the ears shape).
   static constexpr std::uint32_t kSlabEntries = 4;
+
+  /// One in-flight envelope (see file comment; the receiver is implied by
+  /// the wheel that holds it).
+  struct Entry {
+    MessageId id = 0;
+    Time send_time = 0;
+    Time deliver_after = 0;
+    ProcessId from = kNoProcess;
+    std::uint32_t payload = PayloadPool::kNoPayload;
+  };
 
   /// A bucket: the chain of slabs holding one wheel slot's envelopes in
   /// send order. Exactly 8 bytes, so the n * W bucket headers stay dense.
@@ -181,48 +193,41 @@ class EnvelopeArena {
 
   /// Appends one envelope to `b`'s chain. Caller guarantees monotone ids
   /// per chain (the engine assigns ids in send order).
-  void append(Bucket& b, MessageId id, ProcessId from, ProcessId to,
-              Time send_time, Time deliver_after, std::uint32_t payload) {
+  void append(Bucket& b, const Entry& entry) {
     std::uint32_t tail = b.tail;
-    if (tail == kNil || slab_used_[tail] == kSlabEntries) {
+    if (tail == kNil || slabs_[tail].used == kSlabEntries) {
       const std::uint32_t s = acquire_slab();
       if (tail == kNil)
         b.head = s;
       else
-        slab_next_[tail] = s;
+        slabs_[tail].next = s;
       b.tail = s;
       tail = s;
     }
-    const std::uint32_t i = slab_used_[tail]++;
-    const std::size_t e = static_cast<std::size_t>(tail) * kSlabEntries + i;
-    id_[e] = id;
-    from_[e] = from;
-    to_[e] = to;
-    send_time_[e] = send_time;
-    deliver_after_[e] = deliver_after;
-    payload_[e] = payload;
+    const std::uint32_t i = slabs_[tail].used++;
+    entries_[static_cast<std::size_t>(tail) * kSlabEntries + i] = entry;
   }
 
   Cursor cursor(const Bucket& b) const { return Cursor{b.head, 0}; }
 
   bool at_end(const Cursor& c) const { return c.slab == kNil; }
 
-  /// Entry index under the cursor (valid when !at_end).
-  std::size_t entry(const Cursor& c) const {
-    return static_cast<std::size_t>(c.slab) * kSlabEntries + c.i;
+  /// The entry under the cursor (valid when !at_end).
+  const Entry& at(const Cursor& c) const {
+    return entries_[static_cast<std::size_t>(c.slab) * kSlabEntries + c.i];
   }
 
   void advance(Cursor& c) const {
-    if (++c.i >= slab_used_[c.slab]) {
-      c.slab = slab_next_[c.slab];
+    if (++c.i >= slabs_[c.slab].used) {
+      c.slab = slabs_[c.slab].next;
       c.i = 0;
     }
   }
 
-  /// Visits every entry index in `b`'s chain in send order.
+  /// Visits every entry of `b`'s chain in send order.
   template <typename F>
   void for_chain(const Bucket& b, F&& f) const {
-    for (Cursor c = cursor(b); !at_end(c); advance(c)) f(entry(c));
+    for (Cursor c = cursor(b); !at_end(c); advance(c)) f(at(c));
   }
 
   /// Returns every slab of `b`'s chain to the free list and resets the
@@ -230,8 +235,8 @@ class EnvelopeArena {
   void recycle(Bucket& b) {
     std::uint32_t s = b.head;
     while (s != kNil) {
-      const std::uint32_t next = slab_next_[s];
-      slab_next_[s] = free_head_;
+      const std::uint32_t next = slabs_[s].next;
+      slabs_[s].next = free_head_;
       free_head_ = s;
       ++free_count_;
       s = next;
@@ -244,52 +249,39 @@ class EnvelopeArena {
     ArenaStats st;
     st.slab_allocations = allocations_;
     st.slab_reuses = reuses_;
-    st.slab_capacity = slab_count_;
+    st.slab_capacity = slabs_.size();
     st.slabs_free = free_count_;
     return st;
   }
 
-  // Entry fields (see file comment). Public by design.
-  std::vector<MessageId> id_;
-  std::vector<ProcessId> from_;
-  std::vector<ProcessId> to_;
-  std::vector<Time> send_time_;
-  std::vector<Time> deliver_after_;
-  std::vector<std::uint32_t> payload_;
-
  private:
+  /// Per-slab metadata: chain link (or free-list link while free) and the
+  /// number of occupied entries.
+  struct Slab {
+    std::uint32_t next = kNil;
+    std::uint32_t used = 0;
+  };
+
   std::uint32_t acquire_slab() {
     std::uint32_t s;
     if (free_head_ != kNil) {
       s = free_head_;
-      free_head_ = slab_next_[s];
+      free_head_ = slabs_[s].next;
       --free_count_;
       ++reuses_;
+      slabs_[s] = Slab{};
     } else {
-      s = static_cast<std::uint32_t>(slab_count_++);
-      const std::size_t entries =
-          static_cast<std::size_t>(slab_count_) * kSlabEntries;
-      id_.resize(entries);
-      from_.resize(entries);
-      to_.resize(entries);
-      send_time_.resize(entries);
-      deliver_after_.resize(entries);
-      payload_.resize(entries);
-      slab_next_.push_back(kNil);
-      slab_used_.push_back(0);
+      s = static_cast<std::uint32_t>(slabs_.size());
+      slabs_.emplace_back();
+      entries_.resize(slabs_.size() * kSlabEntries);
       ++allocations_;
     }
-    slab_next_[s] = kNil;
-    slab_used_[s] = 0;
     return s;
   }
 
-  // Per-slab metadata: chain link (or free-list link while free) and the
-  // number of occupied entries.
-  std::vector<std::uint32_t> slab_next_;
-  std::vector<std::uint32_t> slab_used_;
+  std::vector<Entry> entries_;
+  std::vector<Slab> slabs_;
   std::uint32_t free_head_ = kNil;
-  std::size_t slab_count_ = 0;
   std::uint64_t free_count_ = 0;
   std::uint64_t allocations_ = 0;
   std::uint64_t reuses_ = 0;

@@ -7,7 +7,7 @@
 // rather than bits.
 //
 // Since the data-oriented engine core, `Envelope` is a *view* type: the
-// engine stores in-flight messages as struct-of-arrays slabs plus an
+// engine stores in-flight messages as packed records in slabs plus an
 // interned payload pool (sim/envelope_arena.h) and materializes Envelope
 // values only at its observation seams (StepContext::received, observer
 // callbacks, pending_for). PayloadRef below is what makes both worlds

@@ -5,7 +5,7 @@ beyond the tolerance.
 
 Usage:
   bench_gate.py --baseline BENCH_engine_seed.json --current BENCH_engine.json
-                [--counter steps_per_sec] [--tolerance 0.40]
+                [--counter steps_per_sec ...] [--tolerance 0.40]
                 [--direction higher-better|lower-better]
   bench_gate.py --current BENCH_rt.json --counter wall_ms_per_ktick \\
                 --ratio-num 'rt/none+recorder/ears/...' \\
@@ -21,6 +21,9 @@ counters (steps/sec) fail on downward moves, lower-better counters
 The default 40% tolerance absorbs shared-runner noise (see
 docs/PERFORMANCE.md on why tighter ratio gates are not trustworthy in CI);
 catching a genuine 2x slowdown is the design point, not 5% drifts.
+--counter repeats to gate several counters in one pass. Deterministic
+totals (steps, envelopes) are gated exactly by two passes at --tolerance 0,
+one lower-better and one higher-better.
 
 Within-report ratio (needs --ratio-num/--ratio-den): counter(num) /
 counter(den) over the --current report alone must stay <= --max-ratio.
@@ -44,7 +47,7 @@ def load_cases(path):
     return {case["name"]: case["counters"] for case in doc["cases"]}
 
 
-def check_baseline(args, baseline, current):
+def check_baseline(args, counter, baseline, current):
     """Returns the number of failing cases of the baseline diff."""
     shared = sorted(set(baseline) & set(current))
     if not shared:
@@ -55,8 +58,8 @@ def check_baseline(args, baseline, current):
     rows = []
     failures = 0
     for name in shared:
-        base = baseline[name].get(args.counter)
-        cur = current[name].get(args.counter)
+        base = baseline[name].get(counter)
+        cur = current[name].get(counter)
         if base is None or cur is None or base <= 0:
             rows.append((name, base, cur, None, "skip (missing counter)"))
             continue
@@ -69,7 +72,7 @@ def check_baseline(args, baseline, current):
 
     name_w = max(len(r[0]) for r in rows)
     sign = "+" if lower_better else "-"
-    print(f"bench gate: counter={args.counter} direction={args.direction} "
+    print(f"bench gate: counter={counter} direction={args.direction} "
           f"tolerance={sign}{args.tolerance:.0%} ({len(shared)} shared "
           f"case(s))")
     print(f"{'case'.ljust(name_w)}  {'baseline':>12}  {'current':>12}  "
@@ -93,21 +96,24 @@ def check_baseline(args, baseline, current):
 
 def check_ratio(args, current):
     """Returns 1 if the within-report ratio check failed, else 0."""
+    if len(args.counter) != 1:
+        sys.exit("bench gate: the ratio check takes exactly one --counter")
+    counter = args.counter[0]
     for case in (args.ratio_num, args.ratio_den):
         if case not in current:
             sys.exit(f"bench gate: ratio case {case!r} not in "
                      f"{args.current}")
-        if args.counter not in current[case]:
+        if counter not in current[case]:
             sys.exit(f"bench gate: ratio case {case!r} has no counter "
-                     f"{args.counter!r}")
-    num = current[args.ratio_num][args.counter]
-    den = current[args.ratio_den][args.counter]
+                     f"{counter!r}")
+    num = current[args.ratio_num][counter]
+    den = current[args.ratio_den][counter]
     if den <= 0:
         sys.exit(f"bench gate: ratio denominator {args.ratio_den!r} has "
-                 f"non-positive {args.counter} ({den})")
+                 f"non-positive {counter} ({den})")
     ratio = num / den
     ok = ratio <= args.max_ratio
-    print(f"bench gate ratio: {args.counter}")
+    print(f"bench gate ratio: {counter}")
     print(f"  num {args.ratio_num} = {num:,.3f}")
     print(f"  den {args.ratio_den} = {den:,.3f}")
     print(f"  ratio {ratio:.4f} vs max {args.max_ratio:.4f} "
@@ -121,7 +127,9 @@ def main():
                         help="committed baseline report (omit for a "
                              "ratio-only invocation)")
     parser.add_argument("--current", required=True)
-    parser.add_argument("--counter", default="steps_per_sec")
+    parser.add_argument("--counter", action="append",
+                        help="counter to gate; repeatable (default "
+                             "steps_per_sec)")
     parser.add_argument("--tolerance", type=float, default=0.40,
                         help="max fractional regression (default 0.40)")
     parser.add_argument("--direction", default="higher-better",
@@ -135,6 +143,8 @@ def main():
     parser.add_argument("--max-ratio", type=float, default=1.05,
                         help="ratio check bound (default 1.05)")
     args = parser.parse_args()
+    if args.counter is None:
+        args.counter = ["steps_per_sec"]
 
     ratio_mode = args.ratio_num is not None or args.ratio_den is not None
     if ratio_mode and (args.ratio_num is None or args.ratio_den is None):
@@ -148,7 +158,9 @@ def main():
     if ratio_mode:
         failures += check_ratio(args, current)
     if args.baseline is not None:
-        failures += check_baseline(args, load_cases(args.baseline), current)
+        baseline = load_cases(args.baseline)
+        for counter in args.counter:
+            failures += check_baseline(args, counter, baseline, current)
     if failures:
         return 1
     print("bench gate: ok")
