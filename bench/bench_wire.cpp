@@ -68,12 +68,13 @@ PayloadPtr make_payload(Shape shape, std::size_t n, Xoshiro256SS* rng) {
     case Shape::kEpidemic: {
       auto p = std::make_shared<EpidemicPayload>();
       p->rumors = std::move(rumors);
-      p->informed.resize(n);
-      for (DynamicBitset& inf : p->informed) {
+      p->informed = InformedList(n);
+      for (std::size_t r = 0; r < n; ++r) {
         if (rng->uniform(4) != 0) continue;  // sparse informed lists
-        inf = DynamicBitset(n);
+        DynamicBitset row(n);
         for (std::size_t i = 0; i < n; ++i)
-          if (rng->uniform(2) == 0) inf.set(i);
+          if (rng->uniform(2) == 0) row.set(i);
+        p->informed.note_row(r, row);
       }
       return p;
     }

@@ -7,31 +7,18 @@ namespace asyncgossip {
 DynamicBitset::DynamicBitset(std::size_t size)
     : size_(size), words_((size + 63) / 64, 0) {}
 
-void DynamicBitset::check_index(std::size_t i) const {
-  AG_ASSERT_MSG(i < size_, "bit index out of range");
+void DynamicBitset::fail_index() {
+  detail::assert_fail("i < size_", __FILE__, __LINE__, "bit index out of range");
 }
 
-void DynamicBitset::set(std::size_t i) {
-  check_index(i);
-  words_[i / 64] |= std::uint64_t{1} << (i % 64);
+void DynamicBitset::fail_size_mismatch(const char* op) {
+  detail::assert_fail("size_ == other.size_", __FILE__, __LINE__,
+                      std::string("bitset size mismatch in ") + op);
 }
 
 void DynamicBitset::reset(std::size_t i) {
   check_index(i);
   words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-}
-
-bool DynamicBitset::test(std::size_t i) const {
-  check_index(i);
-  return (words_[i / 64] >> (i % 64)) & 1;
-}
-
-bool DynamicBitset::set_and_check(std::size_t i) {
-  check_index(i);
-  const std::uint64_t mask = std::uint64_t{1} << (i % 64);
-  const bool was_clear = (words_[i / 64] & mask) == 0;
-  words_[i / 64] |= mask;
-  return was_clear;
 }
 
 void DynamicBitset::set_all() {
@@ -45,27 +32,10 @@ void DynamicBitset::clear_all() {
   for (auto& w : words_) w = 0;
 }
 
-std::size_t DynamicBitset::count() const {
-  std::size_t c = 0;
-  for (std::uint64_t w : words_) c += static_cast<std::size_t>(__builtin_popcountll(w));
-  return c;
-}
-
 bool DynamicBitset::any() const {
   for (std::uint64_t w : words_)
     if (w != 0) return true;
   return false;
-}
-
-bool DynamicBitset::merge(const DynamicBitset& other) {
-  AG_ASSERT_MSG(size_ == other.size_, "bitset size mismatch in merge");
-  bool changed = false;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    const std::uint64_t merged = words_[i] | other.words_[i];
-    changed |= (merged != words_[i]);
-    words_[i] = merged;
-  }
-  return changed;
 }
 
 DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
@@ -74,13 +44,13 @@ DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
 }
 
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
-  AG_ASSERT_MSG(size_ == other.size_, "bitset size mismatch in and");
+  if (size_ != other.size_) fail_size_mismatch("and");
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
   return *this;
 }
 
 bool DynamicBitset::subset_of(const DynamicBitset& other) const {
-  AG_ASSERT_MSG(size_ == other.size_, "bitset size mismatch in subset_of");
+  if (size_ != other.size_) fail_size_mismatch("subset_of");
   for (std::size_t i = 0; i < words_.size(); ++i)
     if ((words_[i] & ~other.words_[i]) != 0) return false;
   return true;

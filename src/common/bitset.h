@@ -1,9 +1,11 @@
-// Fixed-capacity dynamic bitset used for rumor sets and informed-lists.
+// Fixed-capacity dynamic bitset used for rumor sets.
 //
 // Rumors are identified by the originating process id, so a rumor set over n
-// processes is exactly n bits; the EARS informed-list I(p) is n such sets
-// (one per rumor). Union (operator|=) is the hot operation: a process
-// receiving a gossip message merges the sender's knowledge into its own.
+// processes is exactly n bits. Union (merge) is the hot operation: a process
+// receiving a gossip message merges the sender's knowledge into its own. The
+// word loops on that path (set, test, count, merge) are inline; their range
+// and size checks stay on, failing through a cold out-of-line path. The
+// EARS informed-list I(p) is one n x n bit matrix (gossip/informed_list.h).
 #pragma once
 
 #include <cstddef>
@@ -21,18 +23,35 @@ class DynamicBitset {
 
   std::size_t size() const { return size_; }
 
-  void set(std::size_t i);
+  void set(std::size_t i) {
+    check_index(i);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
   void reset(std::size_t i);
-  bool test(std::size_t i) const;
+  bool test(std::size_t i) const {
+    check_index(i);
+    return (words_[i / 64] >> (i % 64)) & 1;
+  }
 
   /// Sets bit i and reports whether it was previously clear.
-  bool set_and_check(std::size_t i);
+  bool set_and_check(std::size_t i) {
+    check_index(i);
+    const std::uint64_t mask = std::uint64_t{1} << (i % 64);
+    const bool was_clear = (words_[i / 64] & mask) == 0;
+    words_[i / 64] |= mask;
+    return was_clear;
+  }
 
   void set_all();
   void clear_all();
 
   /// Number of set bits.
-  std::size_t count() const;
+  std::size_t count() const {
+    std::size_t c = 0;
+    for (std::uint64_t w : words_)
+      c += static_cast<std::size_t>(__builtin_popcountll(w));
+    return c;
+  }
 
   bool any() const;
   bool none() const { return !any(); }
@@ -40,7 +59,16 @@ class DynamicBitset {
 
   /// this |= other. Returns true iff any bit newly became set — the engine
   /// and algorithms use this to detect "learned something new".
-  bool merge(const DynamicBitset& other);
+  bool merge(const DynamicBitset& other) {
+    if (size_ != other.size_) fail_size_mismatch("merge");
+    std::uint64_t gained = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      const std::uint64_t merged = words_[i] | other.words_[i];
+      gained |= merged ^ words_[i];
+      words_[i] = merged;
+    }
+    return gained != 0;
+  }
 
   DynamicBitset& operator|=(const DynamicBitset& other);
   DynamicBitset& operator&=(const DynamicBitset& other);
@@ -67,6 +95,10 @@ class DynamicBitset {
     }
   }
 
+  /// The packed words, bit i at words()[i / 64] bit i % 64; bits at and
+  /// beyond size() are clear.
+  const std::vector<std::uint64_t>& words() const { return words_; }
+
   /// Bytes of a natural wire encoding (the packed words).
   std::size_t byte_size() const { return words_.size() * sizeof(std::uint64_t); }
 
@@ -78,7 +110,11 @@ class DynamicBitset {
   }
 
  private:
-  void check_index(std::size_t i) const;
+  void check_index(std::size_t i) const {
+    if (i >= size_) [[unlikely]] fail_index();
+  }
+  [[noreturn, gnu::cold]] static void fail_index();
+  [[noreturn, gnu::cold]] static void fail_size_mismatch(const char* op);
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;

@@ -14,7 +14,7 @@ EpidemicGossipProcess::EpidemicGossipProcess(ProcessId id,
       rng_(config.seed ^ (0x9E3779B97F4A7C15ULL + id)),
       rumors_(config.n),
       informed_(config.n),
-      rumor_fully_informed_(config.n, false) {
+      targets_(config.n) {
   AG_ASSERT_MSG(config_.n > 0 && id < config_.n, "bad process id / n");
   AG_ASSERT_MSG(config_.f < config_.n, "epidemic gossip needs f < n");
   AG_ASSERT_MSG(config_.fanout >= 1, "fanout must be >= 1");
@@ -26,7 +26,7 @@ EpidemicGossipProcess::EpidemicGossipProcess(ProcessId id,
 
 bool EpidemicGossipProcess::progress_done() const {
   if (!config_.use_informed_list) return steps_taken_ >= config_.fallback_step_budget;
-  return fully_informed_count_ == rumors_.count();
+  return informed_.full_count() == rumors_.count();
 }
 
 bool EpidemicGossipProcess::quiescent() const {
@@ -37,48 +37,19 @@ bool EpidemicGossipProcess::quiescent() const {
   return progress_done() && sleep_cnt_ >= config_.shutdown_steps;
 }
 
-void EpidemicGossipProcess::refresh_full_count(std::size_t rumor) {
-  if (rumor_fully_informed_[rumor]) return;
-  const DynamicBitset& inf = informed_[rumor];
-  if (inf.size() != 0 && inf.all()) {
-    rumor_fully_informed_[rumor] = true;
-    ++fully_informed_count_;
-  }
-}
-
-void EpidemicGossipProcess::note_informed(std::size_t rumor,
-                                          std::size_t target) {
-  DynamicBitset& inf = informed_[rumor];
-  if (inf.size() == 0) inf = DynamicBitset(config_.n);
-  if (inf.set_and_check(target)) {
-    cached_snapshot_.reset();
-    refresh_full_count(rumor);
-  }
-}
-
 void EpidemicGossipProcess::absorb(const Envelope& env) {
   const auto* m = payload_cast<EpidemicPayload>(env);
   if (m == nullptr) return;  // foreign payload (layered protocols)
   if (rumors_.merge(m->rumors)) cached_snapshot_.reset();
-  if (!config_.use_informed_list) return;
-  for (std::size_t r = 0; r < config_.n; ++r) {
-    const DynamicBitset& theirs = m->informed[r];
-    if (theirs.size() == 0) continue;
-    DynamicBitset& mine = informed_[r];
-    if (mine.size() == 0) mine = DynamicBitset(config_.n);
-    if (mine.merge(theirs)) {
-      cached_snapshot_.reset();
-      refresh_full_count(r);
-    }
-  }
+  if (config_.use_informed_list && informed_.merge(m->informed))
+    cached_snapshot_.reset();
 }
 
 std::shared_ptr<const EpidemicPayload> EpidemicGossipProcess::snapshot() {
   if (!cached_snapshot_) {
     auto snap = std::make_shared<EpidemicPayload>();
     snap->rumors = rumors_;
-    if (config_.use_informed_list) snap->informed = informed_;
-    else snap->informed.resize(config_.n);
+    snap->informed = informed_;
     cached_snapshot_ = std::move(snap);
   }
   return cached_snapshot_;
@@ -106,7 +77,7 @@ void EpidemicGossipProcess::step(StepContext& ctx) {
     ctx.probe_phase(phase);
     last_phase_ = phase;
   }
-  ctx.probe_state(rumors_.count(), fully_informed_count_);
+  ctx.probe_state(rumors_.count(), informed_.full_count());
 
   // (3) Epidemic transmission (lines 15-21): while awake — i.e. during
   // normal operation and for `shutdown_steps` further steps after L(p)
@@ -114,29 +85,24 @@ void EpidemicGossipProcess::step(StepContext& ctx) {
   // record the new (rumor, target) pairs in the informed-list.
   if (sleep_cnt_ <= config_.shutdown_steps) {
     const auto payload = snapshot();
+    targets_.clear_all();
     if (config_.fanout >= config_.n) {
       for (std::size_t q = 0; q < config_.n; ++q)
         ctx.send(static_cast<ProcessId>(q), payload);
-      if (config_.use_informed_list)
-        rumors_.for_each_set([&](std::size_t r) {
-          for (std::size_t q = 0; q < config_.n; ++q) note_informed(r, q);
-        });
+      targets_.set_all();
     } else if (config_.fanout == 1) {
       const auto q = static_cast<ProcessId>(rng_.uniform(config_.n));
       ctx.send(q, payload);
-      if (config_.use_informed_list)
-        rumors_.for_each_set([&](std::size_t r) { note_informed(r, q); });
+      targets_.set(q);
     } else {
-      const auto targets =
-          rng_.sample_without_replacement(config_.n, config_.fanout);
-      for (std::uint64_t q : targets)
+      for (std::uint64_t q :
+           rng_.sample_without_replacement(config_.n, config_.fanout)) {
         ctx.send(static_cast<ProcessId>(q), payload);
-      if (config_.use_informed_list)
-        rumors_.for_each_set([&](std::size_t r) {
-          for (std::uint64_t q : targets)
-            note_informed(r, static_cast<std::size_t>(q));
-        });
+        targets_.set(static_cast<std::size_t>(q));
+      }
     }
+    if (config_.use_informed_list && informed_.note_rows(rumors_, targets_))
+      cached_snapshot_.reset();
   }
   ++steps_taken_;
 }

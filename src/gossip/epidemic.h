@@ -9,18 +9,18 @@
 //  * EARS  : fanout = 1,               shut-down = Theta(n/(n-f) * log n) steps.
 //  * SEARS : fanout = Theta(n^eps*log n), shut-down = 1 step.
 //
-// The informed-list I(p) is stored per rumor: informed_[r] is the set of
-// processes that, to p's knowledge, have been *sent* rumor r. L(p) is only
-// ever tested for emptiness, which we maintain incrementally via a count of
-// fully-informed rumors.
+// The informed-list I(p) is an InformedList (gossip/informed_list.h): row r
+// is the set of processes that, to p's knowledge, have been *sent* rumor r.
+// L(p) is only ever tested for emptiness, which the list maintains
+// incrementally as its count of full rows.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/bitset.h"
 #include "common/rng.h"
+#include "gossip/informed_list.h"
 #include "gossip/rumor.h"
 
 namespace asyncgossip {
@@ -47,18 +47,15 @@ struct EpidemicConfig {
 
 /// Payload of an EARS/SEARS message: an immutable snapshot of <V(p), I(p)>.
 struct EpidemicPayload final : Payload {
-  DynamicBitset rumors;                   // V
-  std::vector<DynamicBitset> informed;    // I, indexed by rumor id;
-                                          // size-0 bitset == "no pairs"
+  DynamicBitset rumors;   // V
+  InformedList informed;  // I, over the same n as V
 
   /// V is n bits; I contributes n bits per rumor with any recorded pair
   /// (plus one presence bit per rumor). EARS messages are therefore up to
   /// Theta(n^2) bits — the price of the informed-list progress control,
   /// measured by the bit-complexity extension.
   std::size_t byte_size() const override {
-    std::size_t total = rumors.byte_size() + (informed.size() + 7) / 8;
-    for (const DynamicBitset& inf : informed) total += inf.byte_size();
-    return total;
+    return rumors.byte_size() + informed.byte_size();
   }
 };
 
@@ -81,18 +78,15 @@ class EpidemicGossipProcess final : public GossipProcess {
 
  private:
   void absorb(const Envelope& env);
-  void note_informed(std::size_t rumor, std::size_t target);
-  void refresh_full_count(std::size_t rumor);
   std::shared_ptr<const EpidemicPayload> snapshot();
 
   ProcessId id_;
   EpidemicConfig config_;
   Xoshiro256SS rng_;
 
-  DynamicBitset rumors_;                  // V(p)
-  std::vector<DynamicBitset> informed_;   // I(p), per rumor
-  std::vector<bool> rumor_fully_informed_;
-  std::size_t fully_informed_count_ = 0;
+  DynamicBitset rumors_;   // V(p)
+  InformedList informed_;  // I(p)
+  DynamicBitset targets_;  // this step's targets (scratch)
 
   std::uint64_t sleep_cnt_ = 0;
   std::uint64_t steps_taken_ = 0;

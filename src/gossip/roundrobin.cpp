@@ -9,15 +9,14 @@ RoundRobinGossipProcess::RoundRobinGossipProcess(ProcessId id,
     : id_(id),
       config_(config),
       rumors_(config.n),
-      informed_(config.n),
-      rumor_fully_informed_(config.n, false) {
+      informed_(config.n) {
   AG_ASSERT_MSG(config_.n >= 2 && id < config_.n, "bad process id / n");
   AG_ASSERT_MSG(config_.f < config_.n, "round-robin gossip needs f < n");
   rumors_.set(id_);
 }
 
 bool RoundRobinGossipProcess::progress_done() const {
-  return fully_informed_count_ == rumors_.count();
+  return informed_.full_count() == rumors_.count();
 }
 
 bool RoundRobinGossipProcess::quiescent() const {
@@ -25,39 +24,11 @@ bool RoundRobinGossipProcess::quiescent() const {
   return progress_done() && sleep_cnt_ >= config_.shutdown_steps;
 }
 
-void RoundRobinGossipProcess::refresh_full_count(std::size_t rumor) {
-  if (rumor_fully_informed_[rumor]) return;
-  const DynamicBitset& inf = informed_[rumor];
-  if (inf.size() != 0 && inf.all()) {
-    rumor_fully_informed_[rumor] = true;
-    ++fully_informed_count_;
-  }
-}
-
-void RoundRobinGossipProcess::note_informed(std::size_t rumor,
-                                            std::size_t target) {
-  DynamicBitset& inf = informed_[rumor];
-  if (inf.size() == 0) inf = DynamicBitset(config_.n);
-  if (inf.set_and_check(target)) {
-    cached_snapshot_.reset();
-    refresh_full_count(rumor);
-  }
-}
-
 void RoundRobinGossipProcess::absorb(const Envelope& env) {
   const auto* m = payload_cast<EpidemicPayload>(env);
   if (m == nullptr) return;
   if (rumors_.merge(m->rumors)) cached_snapshot_.reset();
-  for (std::size_t r = 0; r < config_.n; ++r) {
-    const DynamicBitset& theirs = m->informed[r];
-    if (theirs.size() == 0) continue;
-    DynamicBitset& mine = informed_[r];
-    if (mine.size() == 0) mine = DynamicBitset(config_.n);
-    if (mine.merge(theirs)) {
-      cached_snapshot_.reset();
-      refresh_full_count(r);
-    }
-  }
+  if (informed_.merge(m->informed)) cached_snapshot_.reset();
 }
 
 std::shared_ptr<const EpidemicPayload> RoundRobinGossipProcess::snapshot() {
@@ -86,14 +57,16 @@ void RoundRobinGossipProcess::step(StepContext& ctx) {
     ctx.probe_phase(phase);
     last_phase_ = phase;
   }
-  ctx.probe_state(rumors_.count(), fully_informed_count_);
+  ctx.probe_state(rumors_.count(), informed_.full_count());
 
   if (sleep_cnt_ <= config_.shutdown_steps) {
     const auto q = static_cast<ProcessId>(
         (id_ + next_target_offset_) % config_.n);
     next_target_offset_ = next_target_offset_ % (config_.n - 1) + 1;
     ctx.send(q, snapshot());
-    rumors_.for_each_set([&](std::size_t r) { note_informed(r, q); });
+    rumors_.for_each_set([&](std::size_t r) {
+      if (informed_.note(r, q)) cached_snapshot_.reset();
+    });
   }
   ++steps_taken_;
 }

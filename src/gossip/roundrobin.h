@@ -23,10 +23,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/bitset.h"
 #include "gossip/epidemic.h"
+#include "gossip/informed_list.h"
 #include "gossip/rumor.h"
 
 namespace asyncgossip {
@@ -48,17 +48,13 @@ class RoundRobinGossipProcess final : public GossipProcess {
   std::uint64_t sleep_count() const { return sleep_cnt_; }
 
  private:
-  void note_informed(std::size_t rumor, std::size_t target);
-  void refresh_full_count(std::size_t rumor);
   void absorb(const Envelope& env);
   std::shared_ptr<const EpidemicPayload> snapshot();
 
   ProcessId id_;
   EpidemicConfig config_;
   DynamicBitset rumors_;
-  std::vector<DynamicBitset> informed_;
-  std::vector<bool> rumor_fully_informed_;
-  std::size_t fully_informed_count_ = 0;
+  InformedList informed_;
   std::size_t next_target_offset_ = 1;  // cursor in the cyclic order
   std::uint64_t sleep_cnt_ = 0;
   std::uint64_t steps_taken_ = 0;

@@ -138,44 +138,98 @@ DecodeError Reader::finish() {
   return DecodeError::kOk;
 }
 
+namespace {
+
+/// encode_bitset's format for the `nbits` bits at `words` (bits at and
+/// beyond nbits clear).
+void put_bits(std::vector<std::uint8_t>* out, std::size_t nbits,
+              const std::uint64_t* words) {
+  put_varint(out, nbits);
+  const auto byte_at = [&](std::size_t k) {
+    return static_cast<std::uint8_t>(words[k / 8] >> (8 * (k % 8)));
+  };
+  std::size_t nbytes = (nbits + 7) / 8;
+  while (nbytes > 0 && byte_at(nbytes - 1) == 0) --nbytes;
+  put_varint(out, nbytes);
+  for (std::size_t k = 0; k < nbytes; ++k) out->push_back(byte_at(k));
+}
+
+/// Reads and checks one encoded bitset without allocating: `*data` views
+/// its `*nbytes` canonical bytes.
+bool read_bits(Reader* r, std::uint64_t* nbits, const std::uint8_t** data,
+               std::uint64_t* nbytes) {
+  if (!r->varint(nbits) || !r->varint(nbytes)) return false;
+  if (*nbits > kMaxBits || *nbytes > (*nbits + 7) / 8) {
+    r->fail(DecodeError::kBadValue);
+    return false;
+  }
+  if (!r->raw(data, static_cast<std::size_t>(*nbytes))) return false;
+  // Canonical: no trailing zero byte, no set bit beyond nbits (only the last
+  // byte can hold one).
+  if (*nbytes == 0) return true;
+  const unsigned last = (*data)[*nbytes - 1];
+  if (last == 0 ||
+      (*nbytes - 1) * 8 + static_cast<unsigned>(31 - __builtin_clz(last)) >=
+          *nbits) {
+    r->fail(DecodeError::kBadValue);
+    return false;
+  }
+  return true;
+}
+
+/// Decodes I(p) over n rumors: a row count equal to n, then n bitsets, each
+/// empty (row absent) or of n bits (row present). A first pass over a copy
+/// of the reader checks that shape, so a list that does not fit V is
+/// rejected before anything is allocated.
+bool decode_informed(Reader* r, std::size_t n, InformedList* out) {
+  std::uint64_t count = 0;
+  if (!r->varint(&count)) return false;
+  if (count != n) {
+    r->fail(DecodeError::kBadValue);
+    return false;
+  }
+  Reader probe = *r;
+  for (std::size_t row = 0; row < n; ++row) {
+    std::uint64_t nbits = 0;
+    std::uint64_t nbytes = 0;
+    const std::uint8_t* data = nullptr;
+    if (!read_bits(&probe, &nbits, &data, &nbytes)) {
+      r->fail(probe.error());
+      return false;
+    }
+    if (nbits != 0 && nbits != n) {
+      r->fail(DecodeError::kBadValue);
+      return false;
+    }
+  }
+  InformedList informed(n);
+  DynamicBitset bits;
+  for (std::size_t row = 0; row < n; ++row) {
+    if (!decode_bitset(r, &bits)) return false;
+    if (bits.size() != 0) informed.note_row(row, bits);
+  }
+  *out = std::move(informed);
+  return true;
+}
+
+}  // namespace
+
 void encode_bitset(std::vector<std::uint8_t>* out, const DynamicBitset& bits) {
-  put_varint(out, bits.size());
-  std::vector<std::uint8_t> packed((bits.size() + 7) / 8, 0);
-  bits.for_each_set([&](std::size_t i) {
-    packed[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  });
-  while (!packed.empty() && packed.back() == 0) packed.pop_back();
-  put_varint(out, packed.size());
-  out->insert(out->end(), packed.begin(), packed.end());
+  put_bits(out, bits.size(), bits.words().data());
 }
 
 bool decode_bitset(Reader* r, DynamicBitset* out) {
   std::uint64_t nbits = 0;
   std::uint64_t nbytes = 0;
-  if (!r->varint(&nbits) || !r->varint(&nbytes)) return false;
-  if (nbits > kMaxBits || nbytes > (nbits + 7) / 8) {
-    r->fail(DecodeError::kBadValue);
-    return false;
-  }
   const std::uint8_t* data = nullptr;
-  if (!r->raw(&data, static_cast<std::size_t>(nbytes))) return false;
-  // Canonical: no trailing zero byte, no set bit beyond nbits.
-  if (nbytes > 0 && data[nbytes - 1] == 0) {
-    r->fail(DecodeError::kBadValue);
-    return false;
-  }
+  if (!read_bits(r, &nbits, &data, &nbytes)) return false;
   DynamicBitset bits(static_cast<std::size_t>(nbits));
   for (std::uint64_t byte = 0; byte < nbytes; ++byte) {
     std::uint8_t b = data[byte];
     while (b != 0) {
-      const unsigned bit = static_cast<unsigned>(__builtin_ctz(b));
+      bits.set(static_cast<std::size_t>(byte * 8) +
+               static_cast<std::size_t>(__builtin_ctz(b)));
       b = static_cast<std::uint8_t>(b & (b - 1));
-      const std::uint64_t i = byte * 8 + bit;
-      if (i >= nbits) {
-        r->fail(DecodeError::kBadValue);
-        return false;
-      }
-      bits.set(static_cast<std::size_t>(i));
     }
   }
   *out = std::move(bits);
@@ -193,10 +247,16 @@ void encode_payload(std::vector<std::uint8_t>* out, const Payload* payload) {
     return;
   }
   if (const auto* p = dynamic_cast<const EpidemicPayload*>(payload)) {
+    const InformedList& informed = p->informed;
+    const std::size_t n = informed.n();
+    AG_ASSERT_MSG(n == p->rumors.size(), "informed list does not fit V");
     put_varint(out, kTagEpidemic);
     encode_bitset(out, p->rumors);
-    put_varint(out, p->informed.size());
-    for (const DynamicBitset& inf : p->informed) encode_bitset(out, inf);
+    put_varint(out, n);
+    for (std::size_t row = 0; row < n; ++row) {
+      if (informed.present(row)) put_bits(out, n, informed.row(row));
+      else put_bits(out, 0, nullptr);
+    }
     return;
   }
   if (const auto* p = dynamic_cast<const TearsPayload*>(payload)) {
@@ -236,15 +296,7 @@ bool decode_payload(Reader* r, PayloadPtr* out) {
     case kTagEpidemic: {
       auto p = std::make_shared<EpidemicPayload>();
       if (!decode_bitset(r, &p->rumors)) return false;
-      std::uint64_t count = 0;
-      if (!r->varint(&count)) return false;
-      if (count > kMaxCount) {
-        r->fail(DecodeError::kBadValue);
-        return false;
-      }
-      p->informed.resize(static_cast<std::size_t>(count));
-      for (DynamicBitset& inf : p->informed)
-        if (!decode_bitset(r, &inf)) return false;
+      if (!decode_informed(r, p->rumors.size(), &p->informed)) return false;
       *out = std::move(p);
       return true;
     }

@@ -35,9 +35,10 @@ TEST(BitComplexity, TearsPayloadLinearInN) {
 TEST(BitComplexity, EpidemicPayloadGrowsWithInformedList) {
   EpidemicPayload p;
   p.rumors = DynamicBitset(256);
-  p.informed.resize(256);
+  p.informed = InformedList(256);
   const std::size_t empty_size = p.byte_size();
-  for (std::size_t r = 0; r < 256; ++r) p.informed[r] = DynamicBitset(256);
+  const DynamicBitset none(256);
+  for (std::size_t r = 0; r < 256; ++r) p.informed.note_row(r, none);
   EXPECT_GT(p.byte_size(), empty_size + 256 * 30);  // ~n^2/8 bytes
 }
 

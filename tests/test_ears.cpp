@@ -77,18 +77,20 @@ TEST(Ears, PayloadCarriesRumorsAndInformedList) {
   EXPECT_TRUE(payload->rumors.test(0));
   // The snapshot is taken before the (rumor, target) pairs are recorded, as
   // in Figure 2 (send on line 18, update I on lines 19-20).
-  EXPECT_EQ(payload->informed[0].size(), 0u);
+  EXPECT_FALSE(payload->informed.present(0));
 }
 
 TEST(Ears, InformedListRecordsTargets) {
   EpidemicGossipProcess p(0, make_ears_config(4, 1, 1));
-  drive_step(p, 0, 4, {}, 0);
+  const auto first = drive_step(p, 0, 4, {}, 0);
   // Second step's payload must contain the pair recorded in step 0.
   const auto out = drive_step(p, 0, 4, {}, 1);
   const auto* payload =
       dynamic_cast<const EpidemicPayload*>(out[0].payload.get());
   ASSERT_NE(payload, nullptr);
-  EXPECT_EQ(payload->informed[0].count(), 1u);
+  EXPECT_EQ(payload->informed.present_count(), 1u);
+  for (std::size_t q = 0; q < 4; ++q)
+    EXPECT_EQ(payload->informed.test(0, q), q == first[0].to) << q;
 }
 
 TEST(Ears, MergesReceivedRumors) {
@@ -127,7 +129,7 @@ TEST(Ears, GoesQuiescentAfterShutdownPhaseAndWakesOnNews) {
   auto news = std::make_shared<EpidemicPayload>();
   news->rumors = DynamicBitset(2);
   news->rumors.set(1);
-  news->informed.resize(2);
+  news->informed = InformedList(2);
   const auto out = drive_step(p, 0, 2, {wrap(1, 0, news)}, s++);
   EXPECT_FALSE(p.quiescent());
   EXPECT_EQ(out.size(), 1u);  // resumed sending
@@ -143,9 +145,21 @@ TEST(Ears, SleepCountResetsOnRegression) {
   auto news = std::make_shared<EpidemicPayload>();
   news->rumors = DynamicBitset(2);
   news->rumors.set(1);
-  news->informed.resize(2);
+  news->informed = InformedList(2);
   drive_step(p, 0, 2, {wrap(1, 0, news)}, 999);
   EXPECT_EQ(p.sleep_count(), 0u);
+}
+
+TEST(Ears, InformedListOfAnotherSizeIsRejected) {
+  // V over 8 rumors but I over 2: absorbing it must fail loudly instead of
+  // reading rows that are not there.
+  EpidemicGossipProcess p(0, make_ears_config(8, 2, 1));
+  auto bad = std::make_shared<EpidemicPayload>();
+  bad->rumors = DynamicBitset(8);
+  bad->rumors.set(1);
+  bad->informed = InformedList(2);
+  bad->informed.note(1, 1);
+  EXPECT_THROW(drive_step(p, 0, 8, {wrap(1, 0, bad)}, 0), ModelViolation);
 }
 
 TEST(Ears, CloneIsIndependentReplica) {
@@ -182,6 +196,30 @@ TEST(EarsAblation, NoInformedListUsesFixedBudget) {
     drive_step(p, 0, 8, {}, s);
   }
   EXPECT_TRUE(p.progress_done());
+}
+
+TEST(EarsAblation, PayloadsStayLinearInN) {
+  // Without the progress control nothing is ever recorded in I(p), so the
+  // payload's informed list holds n presence flags and no matrix.
+  constexpr std::size_t kN = 256;
+  EpidemicConfig cfg = make_ears_config(kN, 2, 7);
+  cfg.use_informed_list = false;
+  cfg.fallback_step_budget = 50;
+  EpidemicGossipProcess a(0, cfg), b(1, cfg);
+  std::vector<Envelope> inbox;
+  for (std::uint64_t s = 0; s < 8; ++s) {
+    for (const auto& out : drive_step(a, 0, kN, {}, s))
+      inbox.push_back(wrap(0, 1, out.payload));
+    const auto out = drive_step(b, 1, kN, inbox, s);
+    inbox.clear();
+    ASSERT_EQ(out.size(), 1u);
+    const auto* payload =
+        dynamic_cast<const EpidemicPayload*>(out[0].payload.get());
+    ASSERT_NE(payload, nullptr);
+    EXPECT_EQ(payload->informed.present_count(), 0u);
+    EXPECT_LE(payload->informed.heap_bytes(), kN);
+    EXPECT_EQ(payload->byte_size(), kN / 8 + kN / 8);
+  }
 }
 
 TEST(EarsAblation, InflatesMessageComplexity) {

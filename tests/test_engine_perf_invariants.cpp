@@ -7,6 +7,9 @@
 // pre-optimization engine. The constants below were captured from the
 // deque-mailbox engine before the wheel landed; if any future "perf only"
 // change shifts one of them, it changed delivery semantics, not just speed.
+// `bytes_sent` (added later, captured from the per-rumor informed-list
+// layout before the flat matrix replaced it) pins each payload's byte_size,
+// which no hash covers.
 //
 // Two adversary configurations (staggered/uniform and random-subset/
 // bimodal) across all eight gossip algorithms exercise every scheduling
@@ -35,6 +38,7 @@ struct Golden {
   std::size_t max_in_flight;
   Time completion_time;
   bool completed;
+  std::uint64_t bytes_sent;  // payload bytes; the trace hash omits them
 };
 
 void check_golden(const GossipSpec& base, const Golden& g) {
@@ -53,6 +57,7 @@ void check_golden(const GossipSpec& base, const Golden& g) {
   EXPECT_EQ(m.max_in_flight(), g.max_in_flight) << to_string(g.algorithm);
   EXPECT_EQ(out.completion_time, g.completion_time) << to_string(g.algorithm);
   EXPECT_EQ(out.completed, g.completed) << to_string(g.algorithm);
+  EXPECT_EQ(m.bytes_sent(), g.bytes_sent) << to_string(g.algorithm);
 }
 
 TEST(EnginePerfInvariants, GoldenTracesStaggeredUniform) {
@@ -66,21 +71,21 @@ TEST(EnginePerfInvariants, GoldenTracesStaggeredUniform) {
   base.delay = DelayPattern::kUniform;
   const Golden goldens[] = {
       {GossipAlgorithm::kTrivial, 0x73318c975a61aa6fULL, 2304, 2304, 219, 3,
-       2, 1873, 2, true},
+       2, 1873, 2, true, 18432},
       {GossipAlgorithm::kEars, 0xa5045f0f03258f44ULL, 1974, 1847, 2525, 3, 2,
-       90, 77, true},
+       90, 77, true, 650308},
       {GossipAlgorithm::kSears, 0x867dc497daee2d0fULL, 6696, 6696, 438, 3, 2,
-       2211, 8, true},
+       2211, 8, true, 1496664},
       {GossipAlgorithm::kTears, 0xcf8f218ebfa8a0fdULL, 9561, 9561, 365, 3, 2,
-       4071, 6, true},
+       4071, 6, true, 86049},
       {GossipAlgorithm::kSync, 0xc1eacfb3647354e5ULL, 846, 830, 1411, 3, 2,
-       88, 36, true},
+       88, 36, true, 6768},
       {GossipAlgorithm::kEarsNoInformedList, 0x824390aada0d8fedULL, 7174,
-       5770, 11037, 3, 2, 90, 378, true},
+       5770, 11037, 3, 2, 90, 378, true, 100436},
       {GossipAlgorithm::kLazy, 0x6c1956345313301bULL, 634, 631, 760, 3, 2,
-       121, 18, true},
+       121, 18, true, 5072},
       {GossipAlgorithm::kRoundRobin, 0x3885198134bf217aULL, 1928, 1794, 2525,
-       3, 2, 90, 74, true},
+       3, 2, 90, 74, true, 616504},
   };
   for (const Golden& g : goldens) check_golden(base, g);
 }
@@ -96,21 +101,21 @@ TEST(EnginePerfInvariants, GoldenTracesRandomSubsetBimodal) {
   base.delay = DelayPattern::kBimodal;
   const Golden goldens[] = {
       {GossipAlgorithm::kTrivial, 0x93be27de487a63cbULL, 1560, 1519, 293, 6,
-       5, 960, 5, true},
+       5, 960, 5, true, 12480},
       {GossipAlgorithm::kEars, 0xb68396c408e77da8ULL, 1342, 1169, 1588, 6, 5,
-       46, 89, true},
+       46, 89, true, 368390},
       {GossipAlgorithm::kSears, 0x89c6662e3d936eccULL, 5016, 4803, 430, 6, 5,
-       1069, 12, true},
+       1069, 12, true, 1089528},
       {GossipAlgorithm::kTears, 0xdae210b9366a58ceULL, 8025, 7710, 430, 6, 5,
-       1853, 13, true},
+       1853, 13, true, 72225},
       {GossipAlgorithm::kSync, 0xffef3f55b523f35aULL, 632, 575, 931, 6, 5,
-       51, 44, true},
+       51, 44, true, 5056},
       {GossipAlgorithm::kEarsNoInformedList, 0xa55b22dcc64799c4ULL, 5570,
-       4355, 6258, 6, 5, 46, 386, true},
+       4355, 6258, 6, 5, 46, 386, true, 72410},
       {GossipAlgorithm::kLazy, 0x73c1995152cd2b20ULL, 364, 348, 482, 6, 5,
-       62, 19, true},
+       62, 19, true, 2912},
       {GossipAlgorithm::kRoundRobin, 0xf77c0d5a66c3d853ULL, 1299, 1119,
-       1502, 6, 5, 50, 84, true},
+       1502, 6, 5, 50, 84, true, 352975},
   };
   for (const Golden& g : goldens) check_golden(base, g);
 }

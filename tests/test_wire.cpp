@@ -133,6 +133,56 @@ TEST(Wire, GoldenDataFrame) {
   EXPECT_TRUE(p->rumors == payload->rumors);
 }
 
+TEST(Wire, GoldenEpidemicDataFrame) {
+  // from=2 to=5 seq=3, one envelope {id=17, send=6, deliver=9} carrying an
+  // epidemic payload over 10 rumors: V = {0, 2, 9}; I has row 0 = {1, 9},
+  // row 2 present but empty, row 9 = {0, 3, 8}, every other row absent.
+  auto payload = std::make_shared<EpidemicPayload>();
+  payload->rumors = bits_of(10, {0, 2, 9});
+  payload->informed = InformedList(10);
+  payload->informed.note_row(0, bits_of(10, {1, 9}));
+  payload->informed.note_row(2, bits_of(10, {}));
+  payload->informed.note_row(9, bits_of(10, {0, 3, 8}));
+  // 2 bytes of V, 2 presence bytes, 3 present rows of one word each.
+  EXPECT_EQ(payload->byte_size(), 34u);
+  wire::DataFrame frame;
+  frame.from = 2;
+  frame.to = 5;
+  frame.seq = 3;
+  frame.envelopes.push_back(make_env(17, 2, 5, 6, 9, payload));
+
+  Bytes out;
+  wire::encode_data_frame(&out, frame);
+  const Bytes kGolden = {
+      'A', 'G', 0x01, 0x01,    // header: magic, version, kData
+      0x02, 0x05, 0x03,        // from, to, seq
+      0x01,                    // envelope count
+      0x11, 0x06, 0x03,        // id, send_time, deliver_after - send_time
+      0x02,                    // payload tag: epidemic
+      0x0a, 0x02, 0x05, 0x02,  // V: 10 bits, 2 bytes, {0, 2} {9}
+      0x0a,                    // I: 10 rows
+      0x0a, 0x02, 0x02, 0x02,  // row 0: 10 bits, 2 bytes, {1} {9}
+      0x00, 0x00,              // row 1: absent
+      0x0a, 0x00,              // row 2: present, empty
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rows 3-5: absent
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rows 6-8: absent
+      0x0a, 0x02, 0x09, 0x01,  // row 9: 10 bits, 2 bytes, {0, 3} {8}
+  };
+  EXPECT_EQ(out, kGolden);
+
+  wire::DataFrame back;
+  ASSERT_EQ(wire::decode_data_frame(kGolden.data(), kGolden.size(), &back),
+            wire::DecodeError::kOk);
+  ASSERT_EQ(back.envelopes.size(), 1u);
+  const auto* p = payload_cast<EpidemicPayload>(back.envelopes[0]);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(p->rumors == payload->rumors);
+  EXPECT_TRUE(p->informed == payload->informed);
+  EXPECT_TRUE(p->informed.present(2));
+  EXPECT_FALSE(p->informed.present(1));
+  EXPECT_EQ(p->byte_size(), 34u);
+}
+
 TEST(Wire, GoldenAckAndSignalFrames) {
   wire::AckFrame ack;
   ack.receiver = 2;
@@ -176,9 +226,10 @@ TEST(Wire, DataFrameRoundTripsEveryPayloadShape) {
         case 2: {
           auto p = std::make_shared<EpidemicPayload>();
           p->rumors = random_bits(kRumors, &rng);
-          p->informed.resize(kRumors);
-          for (DynamicBitset& inf : p->informed)
-            if (rng.uniform(2) == 0) inf = random_bits(kRumors, &rng);
+          p->informed = InformedList(kRumors);
+          for (std::size_t r = 0; r < kRumors; ++r)
+            if (rng.uniform(2) == 0)
+              p->informed.note_row(r, random_bits(kRumors, &rng));
           payload = std::move(p);
           break;
         }
@@ -240,9 +291,7 @@ TEST(Wire, DataFrameRoundTripsEveryPayloadShape) {
           const auto* b = payload_cast<EpidemicPayload>(got);
           ASSERT_NE(b, nullptr);
           EXPECT_TRUE(a->rumors == b->rumors);
-          ASSERT_EQ(a->informed.size(), b->informed.size());
-          for (std::size_t j = 0; j < a->informed.size(); ++j)
-            EXPECT_TRUE(a->informed[j] == b->informed[j]) << j;
+          EXPECT_TRUE(a->informed == b->informed);
           break;
         }
         case 3: {
@@ -342,8 +391,8 @@ TEST(Wire, ControlFramesRoundTrip) {
 Bytes rich_data_frame() {
   auto payload = std::make_shared<EpidemicPayload>();
   payload->rumors = bits_of(12, {0, 3, 11});
-  payload->informed.resize(12);
-  payload->informed[3] = bits_of(12, {1, 2});
+  payload->informed = InformedList(12);
+  payload->informed.note_row(3, bits_of(12, {1, 2}));
   wire::DataFrame frame;
   frame.from = 1;
   frame.to = 0;
@@ -480,6 +529,35 @@ TEST(Wire, OutOfRangeValuesAreRejected) {
   wire::put_varint(&frame, 1);
   frame.push_back(0x02);  // bit 1 set, beyond the declared size
   expect_bad(frame, "set bit beyond size");
+
+  // An epidemic informed list must have one row per rumor of V, each row
+  // absent (0 bits) or of V's size.
+  const auto epidemic_prefix = [&](std::uint64_t rows) {
+    data_prefix(/*seq=*/1, /*count=*/1);
+    wire::put_varint(&frame, 8);  // id
+    wire::put_varint(&frame, 4);  // send_time
+    wire::put_varint(&frame, 2);  // delay
+    wire::put_varint(&frame, 2);  // payload tag: epidemic
+    wire::put_varint(&frame, 8);  // V: 8 bits
+    wire::put_varint(&frame, 1);
+    frame.push_back(0xff);
+    wire::put_varint(&frame, rows);
+  };
+  epidemic_prefix(/*rows=*/2);
+  for (int row = 0; row < 2; ++row) {
+    wire::put_varint(&frame, 8);
+    wire::put_varint(&frame, 1);
+    frame.push_back(0x03);
+  }
+  expect_bad(frame, "fewer informed rows than rumors");
+
+  epidemic_prefix(/*rows=*/8);
+  for (int row = 0; row < 8; ++row) {
+    wire::put_varint(&frame, row == 5 ? 4 : 8);  // row 5 has 4 bits
+    wire::put_varint(&frame, 1);
+    frame.push_back(0x03);
+  }
+  expect_bad(frame, "informed row of another size");
 
   // Unknown payload shape tag.
   data_prefix(/*seq=*/1, /*count=*/1);
