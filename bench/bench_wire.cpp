@@ -128,7 +128,7 @@ void run_decode_case(benchmark::State& state, Shape shape) {
   wire::DataFrame back;
   for (auto _ : state) {
     const wire::DecodeError err =
-        wire::decode_data_frame(bytes.data(), bytes.size(), &back);
+        wire::decode_data_frame(bytes.data(), bytes.size(), n, &back);
     if (err != wire::DecodeError::kOk) {
       state.SkipWithError(wire::to_string(err));
       return;

@@ -61,10 +61,15 @@ class Stopwatch {
 
   /// Microseconds elapsed since construction — integer, for per-request
   /// latency samples (svc commit latency percentiles).
-  std::uint64_t elapsed_us() const {
+  std::uint64_t elapsed_us() const { return us_until(Stopwatch{}); }
+
+  /// Microseconds from this stopwatch's start to `later`'s, so that many
+  /// samples can share one clock read (the svc commit thread times a whole
+  /// batch against one).
+  std::uint64_t us_until(const Stopwatch& later) const {
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start_)
+        std::chrono::duration_cast<std::chrono::microseconds>(later.start_ -
+                                                              start_)
             .count());
   }
 

@@ -311,7 +311,8 @@ void UdpTransport::pump(Endpoint& ep, Time now) {
       case wire::FrameType::kData: {
         wire::DataFrame frame;
         if (wire::decode_data_frame(buf, static_cast<std::size_t>(got),
-                                    &frame) != wire::DecodeError::kOk) {
+                                    config_.n, &frame) !=
+            wire::DecodeError::kOk) {
           stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
           break;
         }

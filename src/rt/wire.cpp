@@ -155,11 +155,13 @@ void put_bits(std::vector<std::uint8_t>* out, std::size_t nbits,
 }
 
 /// Reads and checks one encoded bitset without allocating: `*data` views
-/// its `*nbytes` canonical bytes.
-bool read_bits(Reader* r, std::uint64_t* nbits, const std::uint8_t** data,
-               std::uint64_t* nbytes) {
+/// its `*nbytes` canonical bytes. The bit count must be the reader's n;
+/// `absent_ok` also admits 0 bits (an absent informed row).
+bool read_bits(Reader* r, bool absent_ok, std::uint64_t* nbits,
+               const std::uint8_t** data, std::uint64_t* nbytes) {
   if (!r->varint(nbits) || !r->varint(nbytes)) return false;
-  if (*nbits > kMaxBits || *nbytes > (*nbits + 7) / 8) {
+  const bool fits = *nbits == r->bits() || (absent_ok && *nbits == 0);
+  if (!fits || *nbytes > (*nbits + 7) / 8) {
     r->fail(DecodeError::kBadValue);
     return false;
   }
@@ -177,36 +179,48 @@ bool read_bits(Reader* r, std::uint64_t* nbits, const std::uint8_t** data,
   return true;
 }
 
-/// Decodes I(p) over n rumors: a row count equal to n, then n bitsets, each
-/// empty (row absent) or of n bits (row present). A first pass over a copy
-/// of the reader checks that shape, so a list that does not fit V is
-/// rejected before anything is allocated.
-bool decode_informed(Reader* r, std::size_t n, InformedList* out) {
+/// The `nbits`-bit set whose `nbytes` bytes read_bits viewed at `data`.
+DynamicBitset bits_from(std::uint64_t nbits, const std::uint8_t* data,
+                        std::uint64_t nbytes) {
+  DynamicBitset bits(static_cast<std::size_t>(nbits));
+  for (std::uint64_t byte = 0; byte < nbytes; ++byte) {
+    std::uint8_t b = data[byte];
+    while (b != 0) {
+      bits.set(static_cast<std::size_t>(byte * 8) +
+               static_cast<std::size_t>(__builtin_ctz(b)));
+      b = static_cast<std::uint8_t>(b & (b - 1));
+    }
+  }
+  return bits;
+}
+
+/// Decodes I(p) over the reader's n rumors: a row count equal to n, then n
+/// bitsets, each empty (row absent) or of n bits (row present). A first
+/// pass over a copy of the reader checks that shape, so a list that does
+/// not fit n is rejected before anything is allocated.
+bool decode_informed(Reader* r, InformedList* out) {
+  const std::size_t n = r->bits();
   std::uint64_t count = 0;
   if (!r->varint(&count)) return false;
   if (count != n) {
     r->fail(DecodeError::kBadValue);
     return false;
   }
+  std::uint64_t nbits = 0;
+  std::uint64_t nbytes = 0;
+  const std::uint8_t* data = nullptr;
   Reader probe = *r;
   for (std::size_t row = 0; row < n; ++row) {
-    std::uint64_t nbits = 0;
-    std::uint64_t nbytes = 0;
-    const std::uint8_t* data = nullptr;
-    if (!read_bits(&probe, &nbits, &data, &nbytes)) {
+    if (!read_bits(&probe, /*absent_ok=*/true, &nbits, &data, &nbytes)) {
       r->fail(probe.error());
-      return false;
-    }
-    if (nbits != 0 && nbits != n) {
-      r->fail(DecodeError::kBadValue);
       return false;
     }
   }
   InformedList informed(n);
-  DynamicBitset bits;
   for (std::size_t row = 0; row < n; ++row) {
-    if (!decode_bitset(r, &bits)) return false;
-    if (bits.size() != 0) informed.note_row(row, bits);
+    if (!read_bits(r, /*absent_ok=*/true, &nbits, &data, &nbytes))
+      return false;
+    if (nbits != 0) informed.note_row(row, bits_from(nbits, data, nbytes));
   }
   *out = std::move(informed);
   return true;
@@ -222,17 +236,9 @@ bool decode_bitset(Reader* r, DynamicBitset* out) {
   std::uint64_t nbits = 0;
   std::uint64_t nbytes = 0;
   const std::uint8_t* data = nullptr;
-  if (!read_bits(r, &nbits, &data, &nbytes)) return false;
-  DynamicBitset bits(static_cast<std::size_t>(nbits));
-  for (std::uint64_t byte = 0; byte < nbytes; ++byte) {
-    std::uint8_t b = data[byte];
-    while (b != 0) {
-      bits.set(static_cast<std::size_t>(byte * 8) +
-               static_cast<std::size_t>(__builtin_ctz(b)));
-      b = static_cast<std::uint8_t>(b & (b - 1));
-    }
-  }
-  *out = std::move(bits);
+  if (!read_bits(r, /*absent_ok=*/false, &nbits, &data, &nbytes))
+    return false;
+  *out = bits_from(nbits, data, nbytes);
   return true;
 }
 
@@ -296,7 +302,7 @@ bool decode_payload(Reader* r, PayloadPtr* out) {
     case kTagEpidemic: {
       auto p = std::make_shared<EpidemicPayload>();
       if (!decode_bitset(r, &p->rumors)) return false;
-      if (!decode_informed(r, p->rumors.size(), &p->informed)) return false;
+      if (!decode_informed(r, &p->informed)) return false;
       *out = std::move(p);
       return true;
     }
@@ -354,14 +360,15 @@ DecodeError peek_type(const std::uint8_t* data, std::size_t len,
 
 namespace {
 
-/// Header check + body reader for one expected frame type.
+/// Header check + body reader for one expected frame type; `bits` is the
+/// receiver's n for frames that carry bitsets (Reader).
 DecodeError open_frame(const std::uint8_t* data, std::size_t len,
-                       FrameType want, Reader* r) {
+                       FrameType want, Reader* r, std::size_t bits = 0) {
   FrameType type;
   const DecodeError err = peek_type(data, len, &type);
   if (err != DecodeError::kOk) return err;
   if (type != want) return DecodeError::kBadType;
-  *r = Reader(data + kHeaderBytes, len - kHeaderBytes);
+  *r = Reader(data + kHeaderBytes, len - kHeaderBytes, bits);
   return DecodeError::kOk;
 }
 
@@ -386,9 +393,9 @@ void encode_data_frame(std::vector<std::uint8_t>* out, const DataFrame& frame) {
 }
 
 DecodeError decode_data_frame(const std::uint8_t* data, std::size_t len,
-                              DataFrame* out) {
+                              std::size_t n, DataFrame* out) {
   Reader r(nullptr, 0);
-  const DecodeError open = open_frame(data, len, FrameType::kData, &r);
+  const DecodeError open = open_frame(data, len, FrameType::kData, &r, n);
   if (open != DecodeError::kOk) return open;
   std::uint64_t from = 0;
   std::uint64_t to = 0;
@@ -396,7 +403,11 @@ DecodeError decode_data_frame(const std::uint8_t* data, std::size_t len,
   if (!r.varint(&from) || !r.varint(&to) || !r.varint(&out->seq) ||
       !r.varint(&count))
     return r.error();
-  if (out->seq == 0 || count > kMaxCount) return DecodeError::kBadValue;
+  // Each envelope takes at least 4 bytes (id, send time, delay, payload
+  // tag), so a count the rest of the datagram cannot hold is rejected
+  // before the reserve below is sized from it.
+  if (out->seq == 0 || count > kMaxCount || count > r.remaining() / 4)
+    return DecodeError::kBadValue;
   out->from = static_cast<ProcessId>(from);
   out->to = static_cast<ProcessId>(to);
   out->envelopes.clear();
@@ -475,7 +486,8 @@ DecodeError decode_peer_table_frame(const std::uint8_t* data, std::size_t len,
   if (open != DecodeError::kOk) return open;
   std::uint64_t count = 0;
   if (!r.varint(&count)) return r.error();
-  if (count > kMaxCount) return DecodeError::kBadValue;
+  // One byte per port at least: reject a count the datagram cannot hold.
+  if (count > kMaxCount || count > r.remaining()) return DecodeError::kBadValue;
   out->ports.clear();
   out->ports.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

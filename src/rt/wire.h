@@ -43,7 +43,9 @@ inline constexpr std::size_t kHeaderBytes = 4;
 /// into multiple frames (each with its own sequence number). Safely under
 /// the 65507-byte UDP payload limit.
 inline constexpr std::size_t kMaxFrameBytes = 60000;
-/// Decode-side sanity caps: reject before allocating.
+/// Decode-side sanity caps: reject before allocating. Bitsets need no cap
+/// of their own, as each must carry exactly the receiver's n bits (Reader);
+/// kMaxBits bounds process ids in extension payloads.
 inline constexpr std::uint64_t kMaxBits = 1u << 26;
 inline constexpr std::uint64_t kMaxCount = 1u << 20;
 
@@ -66,7 +68,8 @@ enum class DecodeError : std::uint8_t {
   kBadType,         // unknown frame type byte
   kOverlongVarint,  // > 10 bytes, non-canonical, or overflows 64 bits
   kBadPayloadTag,   // unknown payload shape tag
-  kBadValue,        // out-of-range count/size, zero delay, nonzero padding
+  kBadValue,        // out-of-range count/size, bitset not of n bits, zero
+                    // delay, nonzero padding
   kTrailingBytes,   // well-formed frame followed by extra bytes
 };
 
@@ -77,11 +80,14 @@ const char* to_string(DecodeError err);
 /// Appends v as unsigned LEB128 (1..10 bytes, canonical).
 void put_varint(std::vector<std::uint8_t>* out, std::uint64_t v);
 
-/// Strict, bounds-checked reader over one datagram.
+/// Strict, bounds-checked reader over one datagram. `bits` is the
+/// receiver's process count n: every bitset the reader decodes must be of
+/// exactly n bits (0 for readers of frames that carry none), so a declared
+/// size never sizes an allocation on its own.
 class Reader {
  public:
-  Reader(const std::uint8_t* data, std::size_t len)
-      : p_(data), end_(data + len) {}
+  Reader(const std::uint8_t* data, std::size_t len, std::size_t bits = 0)
+      : p_(data), end_(data + len), bits_(bits) {}
 
   /// Reads one canonical varint; on failure records the error and returns
   /// false (every later read also fails, so call sites can chain).
@@ -91,6 +97,7 @@ class Reader {
   bool raw(const std::uint8_t** data, std::size_t len);
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
+  std::size_t bits() const { return bits_; }
   bool failed() const { return err_ != DecodeError::kOk; }
   DecodeError error() const { return err_; }
   void fail(DecodeError err) {
@@ -102,11 +109,13 @@ class Reader {
  private:
   const std::uint8_t* p_;
   const std::uint8_t* end_;
+  std::size_t bits_;
   DecodeError err_ = DecodeError::kOk;
 };
 
 /// Varint-packed bitset: bit count, significant byte count (trailing zero
-/// bytes trimmed), then the bytes, little-endian within each byte.
+/// bytes trimmed), then the bytes, little-endian within each byte. Decoding
+/// rejects (kBadValue) a bit count other than r->bits().
 void encode_bitset(std::vector<std::uint8_t>* out, const DynamicBitset& bits);
 bool decode_bitset(Reader* r, DynamicBitset* out);
 
@@ -160,8 +169,10 @@ struct DataFrame {
 };
 
 void encode_data_frame(std::vector<std::uint8_t>* out, const DataFrame& frame);
+/// Decodes a data frame for a receiver in a group of `n` processes: every
+/// payload bitset must be of n bits (see Reader).
 DecodeError decode_data_frame(const std::uint8_t* data, std::size_t len,
-                              DataFrame* out);
+                              std::size_t n, DataFrame* out);
 
 /// Cumulative ack: every frame on (sender -> receiver) with
 /// seq <= cum_seq has been received (or discarded, when `closed`).

@@ -66,6 +66,10 @@ bool decode_consensus(wire::Reader* r, PayloadPtr* out) {
   if (!bounded_byte(r, 2, &p->pos.sub)) return false;
   if (!wire::decode_bitset(r, &p->state.origins)) return false;
   const std::size_t n = p->state.origins.size();
+  if (r->remaining() < n) {  // one byte per item: allocate only what is there
+    r->fail(wire::DecodeError::kTruncated);
+    return false;
+  }
   p->state.items.assign(n, kValUnknown);
   for (std::size_t i = 0; i < n; ++i)
     if (!byte_val(r, &p->state.items[i])) return false;

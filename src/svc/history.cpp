@@ -151,21 +151,26 @@ HistoryReport check_history(const std::vector<CommittedEntry>& log,
 
   // (2) Replay through the real transition function; every recorded result
   // must match (stale reads and phantom CAS outcomes surface here).
-  KvStore replay;
-  for (const CommittedEntry& e : log) {
-    const CommandResult r = replay.apply(e.cmd);
-    const std::string at = "log seq " + std::to_string(e.seq) + " (" +
-                           to_string(e.cmd.op) + " " + e.cmd.key + "): ";
-    if (r.ok != e.ok)
-      return fail(at + "recorded ok=" + std::to_string(e.ok) +
-                  " but replay says " + std::to_string(r.ok));
-    if (e.cmd.op == SvcOp::kGet) {
-      if (r.found != e.found)
-        return fail(at + "recorded found=" + std::to_string(e.found) +
-                    " but replay says " + std::to_string(r.found));
-      if (r.value != e.read_value)
-        return fail(at + "stale read: returned '" + e.read_value +
-                    "', linearized state holds '" + r.value + "'");
+  // The replay store lives only for this step: held while the maps below
+  // are built, its nodes pin heap pages and raise the peak RSS of a
+  // check over a long log.
+  {
+    KvStore replay;
+    for (const CommittedEntry& e : log) {
+      const CommandResult r = replay.apply(e.cmd);
+      const std::string at = "log seq " + std::to_string(e.seq) + " (" +
+                             to_string(e.cmd.op) + " " + e.cmd.key + "): ";
+      if (r.ok != e.ok)
+        return fail(at + "recorded ok=" + std::to_string(e.ok) +
+                    " but replay says " + std::to_string(r.ok));
+      if (e.cmd.op == SvcOp::kGet) {
+        if (r.found != e.found)
+          return fail(at + "recorded found=" + std::to_string(e.found) +
+                      " but replay says " + std::to_string(r.found));
+        if (r.value != e.read_value)
+          return fail(at + "stale read: returned '" + e.read_value +
+                      "', linearized state holds '" + r.value + "'");
+      }
     }
   }
 

@@ -7,7 +7,7 @@ CommandResult KvStore::apply(const Command& cmd) {
   CommandResult result;
   switch (cmd.op) {
     case SvcOp::kPut:
-      map_[cmd.key] = cmd.value;
+      map_.insert_or_assign(cmd.key, cmd.value);
       result.ok = true;
       break;
     case SvcOp::kGet: {
@@ -24,10 +24,11 @@ CommandResult KvStore::apply(const Command& cmd) {
       // CAS on an absent key succeeds iff the comparand is the reserved
       // absent token "-" (which token_ok permits and real values may also
       // use; the loadgen never writes literal "-" values).
-      const bool match = it != map_.end() ? it->second == cmd.expected
-                                          : cmd.expected == "-";
-      if (match) {
-        map_[cmd.key] = cmd.value;
+      if (it != map_.end()) {
+        result.ok = it->second == cmd.expected;
+        if (result.ok) it->second = cmd.value;
+      } else if (cmd.expected == "-") {
+        map_.emplace(cmd.key, cmd.value);
         result.ok = true;
       }
       break;

@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 
 #include "svc/command.h"
 
@@ -23,7 +23,9 @@ class KvStore {
   std::size_t size() const { return map_.size(); }
 
  private:
-  std::map<std::string, std::string> map_;
+  // aglint:allow(AG-DET-003) keyed find/insert only, never iterated: no
+  // output reads the store in hash order, so the hash seed is unobservable.
+  std::unordered_map<std::string, std::string> map_;
 };
 
 }  // namespace svc

@@ -1,7 +1,6 @@
 #include "svc/service.h"
 
 #include <algorithm>
-#include <iterator>
 #include <ostream>
 #include <utility>
 
@@ -23,25 +22,46 @@ KvService::KvService(const KvServiceConfig& config)
 
 KvService::~KvService() { stop(); }
 
+namespace {
+
+/// First ring capacity; the ring doubles whenever a submit finds it full.
+constexpr std::size_t kMinRing = 64;
+
+}  // namespace
+
 void KvService::submit(const Command& cmd, Callback done) {
-  bool rejected = false;
+  bool queued = false;
+  bool wake = false;
   {
     MutexLock lock(&mu_);
     if (stopping_) {
       ++stats_.unavailable;
-      rejected = true;
     } else {
       ++stats_.submitted;
-      queue_.push_back(Pending{cmd, std::move(done), Stopwatch{}});
+      if (count_ == ring_.size()) grow_ring();
+      Pending& slot = ring_[(head_ + count_) & (ring_.size() - 1)];
+      slot.cmd = cmd;
+      slot.done = std::move(done);
+      slot.latency = Stopwatch{};
+      ++count_;
+      queued = true;
+      wake = std::exchange(committer_waiting_, false);
     }
   }
-  if (rejected) {
-    CommandResult result;
-    result.unavailable = true;
-    if (done) done(cmd, result, 0);
-    return;
-  }
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
+  if (queued) return;
+  CommandResult result;
+  result.unavailable = true;
+  if (done) done(cmd, result, 0);
+}
+
+void KvService::grow_ring() {
+  std::vector<Pending> bigger(std::max(kMinRing, 2 * ring_.size()));
+  const std::size_t mask = ring_.size() - 1;
+  for (std::size_t i = 0; i < count_; ++i)
+    bigger[i] = std::move(ring_[(head_ + i) & mask]);
+  ring_.swap(bigger);
+  head_ = 0;
 }
 
 void KvService::stop() {
@@ -67,14 +87,18 @@ void KvService::commit_loop() {
     batch.clear();
     {
       MutexLock lock(&mu_);
-      while (queue_.empty() && !stopping_) cv_.wait(mu_);
-      if (queue_.empty()) return;  // stopping and drained
-      const std::size_t take = std::min(queue_.size(), config_.batch_limit);
-      batch.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.begin() +
-                                           static_cast<std::ptrdiff_t>(take)));
-      queue_.erase(queue_.begin(),
-                   queue_.begin() + static_cast<std::ptrdiff_t>(take));
+      while (count_ == 0 && !stopping_) {
+        committer_waiting_ = true;
+        cv_.wait(mu_);
+      }
+      committer_waiting_ = false;
+      if (count_ == 0) return;  // stopping and drained
+      const std::size_t take = std::min(count_, config_.batch_limit);
+      const std::size_t mask = ring_.size() - 1;
+      for (std::size_t i = 0; i < take; ++i)
+        batch.push_back(std::move(ring_[(head_ + i) & mask]));
+      head_ = (head_ + take) & mask;
+      count_ -= take;
     }
     commit_batch(batch);
   }
@@ -83,38 +107,48 @@ void KvService::commit_loop() {
 void KvService::commit_batch(std::vector<Pending>& batch) {
   const CommitOutcome slot = group_.commit_slot();
   const bool ok = slot.committed && !slot.unavailable;
-  for (Pending& p : batch) {
-    CommandResult result;
-    if (ok) {
-      result = store_.apply(p.cmd);
-      result.seq = next_seq_++;
-      if (config_.log_out != nullptr) {
-        CommittedEntry entry;
-        entry.seq = result.seq;
-        entry.cmd = p.cmd;
-        entry.ok = result.ok;
-        entry.found = result.found;
-        entry.read_value = result.value;
-        *config_.log_out << encode_log_entry(entry) << '\n';
-      }
-    } else {
+  results_.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    CommandResult& result = results_[i];
+    if (!ok) {
+      result = CommandResult{};
       result.unavailable = true;
+      continue;
     }
-    const std::uint64_t us = p.latency.elapsed_us();
-    if (p.done) p.done(p.cmd, result, us);
+    result = store_.apply(batch[i].cmd);
+    result.seq = next_seq_++;
+    if (config_.log_out != nullptr) {
+      CommittedEntry entry;
+      entry.seq = result.seq;
+      entry.cmd = batch[i].cmd;
+      entry.ok = result.ok;
+      entry.found = result.found;
+      entry.read_value = result.value;
+      *config_.log_out << encode_log_entry(entry) << '\n';
+    }
   }
   if (config_.log_out != nullptr) config_.log_out->flush();
 
-  MutexLock lock(&mu_);
-  ++stats_.slots;
-  if (!ok) ++stats_.slots_unavailable;
-  if (slot.stalled) ++stats_.slots_stalled;
-  stats_.consensus_messages += slot.messages;
-  stats_.consensus_bytes += slot.bytes;
-  stats_.consensus_ticks += slot.decision_time;
-  if (ok) stats_.committed += batch.size();
-  else stats_.unavailable += batch.size();
-  stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, batch.size());
+  {
+    MutexLock lock(&mu_);
+    ++stats_.slots;
+    if (!ok) ++stats_.slots_unavailable;
+    if (slot.stalled) ++stats_.slots_stalled;
+    stats_.consensus_messages += slot.messages;
+    stats_.consensus_bytes += slot.bytes;
+    stats_.consensus_ticks += slot.decision_time;
+    if (ok) stats_.committed += batch.size();
+    else stats_.unavailable += batch.size();
+    stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, batch.size());
+  }
+
+  // Answer only now: every command of the batch is applied and its log
+  // line flushed, and one clock read times them all.
+  const Stopwatch answered;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Pending& p = batch[i];
+    if (p.done) p.done(p.cmd, results_[i], p.latency.us_until(answered));
+  }
 }
 
 }  // namespace svc

@@ -8,9 +8,12 @@
 // Threading: submit() may be called from any number of client threads; the
 // single commit thread owns the KvStore, the sequencer, and the log
 // stream. The queue is the only shared state (annotated Mutex + CondVar,
-// clang -Wthread-safety-checked like src/rt). Completion is delivered via
-// the per-command callback, invoked on the commit thread after the batch's
-// slot resolves — with the measured submit->applied commit latency.
+// clang -Wthread-safety-checked like src/rt): a FIFO ring, so a submit
+// writes one slot and the commit thread moves out exactly one batch.
+// Completion is delivered via the per-command callback, invoked on the
+// commit thread once the whole batch is applied and its committed-log
+// lines are flushed (apply, then answer): an ack never precedes its log
+// line.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +58,8 @@ struct KvServiceStats {
 
 class KvService {
  public:
-  /// (command, result, submit->applied latency in microseconds).
+  /// (command, result, latency in microseconds from submit until the batch
+  /// was applied and its log lines flushed; one clock read per batch).
   using Callback =
       std::function<void(const Command&, const CommandResult&, std::uint64_t)>;
 
@@ -87,15 +91,25 @@ class KvService {
 
   void commit_loop();
   void commit_batch(std::vector<Pending>& batch);
+  /// Doubles the ring (or sizes an empty one), keeping FIFO order.
+  void grow_ring() AG_REQUIRES(mu_);
 
   KvServiceConfig config_;
   ReplicaGroup group_;   // commit-thread-owned after start
   KvStore store_;        // commit-thread-owned
   std::uint64_t next_seq_ = 1;  // commit-thread-owned
+  std::vector<CommandResult> results_;  // commit-thread-owned, per batch
 
   mutable Mutex mu_;
   CondVar cv_;
-  std::vector<Pending> queue_ AG_GUARDED_BY(mu_);
+  /// Pending commands in submission order: ring_[(head_ + i) & mask] for
+  /// i < count_, where the capacity ring_.size() is a power of two.
+  std::vector<Pending> ring_ AG_GUARDED_BY(mu_);
+  std::size_t head_ AG_GUARDED_BY(mu_) = 0;
+  std::size_t count_ AG_GUARDED_BY(mu_) = 0;
+  /// The commit thread is blocked in cv_.wait: only then does a submit
+  /// notify (each notify also takes the condition variable's own mutex).
+  bool committer_waiting_ AG_GUARDED_BY(mu_) = false;
   bool stopping_ AG_GUARDED_BY(mu_) = false;
   KvServiceStats stats_ AG_GUARDED_BY(mu_);
 

@@ -6,16 +6,25 @@
 // stale reads, and session-order violations (a checker that cannot fail is
 // not a checker); replica-group outcomes and the loadgen schedule are pure
 // functions of their seeds; and the open-loop generator's accounting is
-// exact. The Svc/Consensus prefixes put these under the tsan-nightly
-// regex.
+// exact; the hashed KvStore matches an ordered-map model; and the
+// service's commit path keeps FIFO order through its ring, answers each
+// command exactly once and only after its log line is flushed, and wakes
+// an idle commit thread. The Svc/Consensus prefixes put these under the
+// tsan-nightly regex.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "consensus/core_types.h"
 #include "consensus/cr_gossip.h"
 #include "rt/driver.h"
@@ -208,7 +217,7 @@ TEST(SvcWire, ConsensusPayloadRoundTrips) {
 
   std::vector<std::uint8_t> bytes;
   wire::encode_payload(&bytes, p.get());
-  wire::Reader r(bytes.data(), bytes.size());
+  wire::Reader r(bytes.data(), bytes.size(), /*bits=*/9);
   PayloadPtr out;
   ASSERT_TRUE(wire::decode_payload(&r, &out));
   EXPECT_EQ(r.finish(), wire::DecodeError::kOk);
@@ -228,7 +237,7 @@ TEST(SvcWire, ConsensusPayloadRoundTrips) {
 
   // Every truncation of a valid encoding must fail cleanly, never crash.
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    wire::Reader tr(bytes.data(), cut);
+    wire::Reader tr(bytes.data(), cut, /*bits=*/9);
     PayloadPtr tout;
     EXPECT_FALSE(wire::decode_payload(&tr, &tout) &&
                  tr.finish() == wire::DecodeError::kOk)
@@ -277,6 +286,55 @@ TEST(SvcKv, PutGetCasSemantics) {
   cas_absent.expected = "-";
   EXPECT_TRUE(store.apply(cas_absent).ok);
   EXPECT_FALSE(store.apply(cas_absent).ok);  // now present: "-" no longer matches
+}
+
+TEST(SvcKv, MatchesOrderedMapModel) {
+  // The hashed store against the ordered map it replaced, written out
+  // here as the reference: the same random put/get/cas stream must give
+  // the same result fields and the same size at every step. Few keys and
+  // values, so CAS comparands match often, and "-" (the absent comparand)
+  // both matches absent keys and is written as a literal value.
+  const char* const kValues[] = {"a", "b", "c", "-"};
+  Xoshiro256SS rng(20261018);
+  svc::KvStore store;
+  std::map<std::string, std::string> model;
+  for (int step = 0; step < 20000; ++step) {
+    Command cmd;
+    cmd.op = static_cast<SvcOp>(rng.uniform(3));
+    cmd.key = "k" + std::to_string(rng.uniform(12));
+    if (cmd.op != SvcOp::kGet) cmd.value = kValues[rng.uniform(4)];
+    if (cmd.op == SvcOp::kCas) cmd.expected = kValues[rng.uniform(4)];
+
+    CommandResult want;
+    const auto it = model.find(cmd.key);
+    switch (cmd.op) {
+      case SvcOp::kPut:
+        model[cmd.key] = cmd.value;
+        want.ok = true;
+        break;
+      case SvcOp::kGet:
+        want.ok = true;
+        if (it != model.end()) {
+          want.found = true;
+          want.value = it->second;
+        }
+        break;
+      case SvcOp::kCas:
+        if (it != model.end() ? it->second == cmd.expected
+                              : cmd.expected == "-") {
+          model[cmd.key] = cmd.value;
+          want.ok = true;
+        }
+        break;
+    }
+    const CommandResult got = store.apply(cmd);
+    ASSERT_EQ(got.ok, want.ok) << "step " << step;
+    ASSERT_EQ(got.found, want.found) << "step " << step;
+    ASSERT_EQ(got.value, want.value) << "step " << step;
+    ASSERT_EQ(got.unavailable, want.unavailable) << "step " << step;
+    ASSERT_EQ(got.seq, want.seq) << "step " << step;
+    ASSERT_EQ(store.size(), model.size()) << "step " << step;
+  }
 }
 
 // --- history codec and checker --------------------------------------------
@@ -570,6 +628,180 @@ TEST(SvcService, SubmitAfterStopAnswersUnavailable) {
     EXPECT_FALSE(result.ok);
   });
   EXPECT_TRUE(answered);
+}
+
+Command put_command(std::uint64_t client, std::uint64_t client_seq) {
+  Command cmd;
+  cmd.op = SvcOp::kPut;
+  cmd.client = client;
+  cmd.client_seq = client_seq;
+  cmd.key = "k" + std::to_string(client_seq % 16);
+  cmd.value = "v" + std::to_string(client_seq);
+  return cmd;
+}
+
+/// A stringbuf that keeps the text it held at its last flush (sync()).
+class FlushRecorder : public std::stringbuf {
+ public:
+  const std::string& flushed() const { return flushed_; }
+
+ protected:
+  int sync() override {
+    flushed_ = str();
+    return 0;
+  }
+
+ private:
+  std::string flushed_;
+};
+
+TEST(SvcService, AckFollowsLogFlush) {
+  // A client may only be acked for a command whose committed-log line has
+  // reached the log stream's sink: each callback (on the commit thread,
+  // the only writer of the log) looks for its own line in the text flushed
+  // so far.
+  FlushRecorder buf;
+  std::ostream log_os(&buf);
+  svc::KvServiceConfig cfg;
+  cfg.group = small_group(59);
+  cfg.batch_limit = 16;
+  cfg.log_out = &log_os;
+  constexpr std::uint64_t kRequests = 300;
+  std::uint64_t answered = 0;   // commit thread
+  std::uint64_t unflushed = 0;  // commit thread
+  {
+    svc::KvService service(cfg);
+    for (std::uint64_t i = 1; i <= kRequests; ++i)
+      service.submit(put_command(1, i), [&](const Command& cmd,
+                                            const CommandResult& result,
+                                            std::uint64_t) {
+        ++answered;
+        const CommittedEntry entry{result.seq, cmd, result.ok, result.found,
+                                   result.value};
+        if (buf.flushed().find(svc::encode_log_entry(entry) + "\n") ==
+            std::string::npos)
+          ++unflushed;
+      });
+    service.stop();
+  }
+  EXPECT_EQ(answered, kRequests);
+  EXPECT_EQ(unflushed, 0u) << "acks sent before their log line was flushed";
+}
+
+TEST(SvcService, ClosedLoopBatchesAndOrderAreDeterministic) {
+  // The shape of the benchmark's svc-closed run: 1024 closed-loop clients
+  // whose answers submit the next request on the commit thread, so the
+  // batch sequence is fixed. Slot count, consensus messages and batch size
+  // are pinned, and the committed order must be the submission order.
+  constexpr std::uint64_t kRequests = 25000;
+  constexpr std::size_t kClients = 1024;
+  svc::KvServiceConfig cfg;
+  cfg.group = small_group(1);
+  cfg.batch_limit = 512;
+  svc::LoadgenConfig lc;
+  lc.seed = 1;
+  lc.clients = kClients;
+  lc.keys = 1024;
+  lc.value_bytes = 8;
+
+  std::vector<std::uint64_t> seq_of(kRequests, 0);
+  std::uint64_t next = 1;      // commit thread once request 0 is in
+  std::uint64_t answered = 0;  // commit thread
+  std::promise<void> all_answered;
+  svc::KvService service(cfg);
+  std::function<void(std::uint64_t)> submit = [&](std::uint64_t i) {
+    service.submit(svc::loadgen_command(lc, i),
+                   [&, i](const Command&, const CommandResult& result,
+                          std::uint64_t) {
+                     seq_of[i] = result.seq;
+                     const std::size_t follow = i == 0 ? kClients : 1;
+                     for (std::size_t k = 0; k < follow && next < kRequests;
+                          ++k)
+                       submit(next++);
+                     if (++answered == kRequests) all_answered.set_value();
+                   });
+  };
+  submit(0);
+  ASSERT_EQ(all_answered.get_future().wait_for(std::chrono::seconds(120)),
+            std::future_status::ready);
+  service.stop();
+
+  const svc::KvServiceStats stats = service.stats();
+  EXPECT_EQ(stats.committed, kRequests);
+  EXPECT_EQ(stats.slots, 50u);
+  EXPECT_EQ(stats.consensus_messages, 28512u);
+  EXPECT_EQ(stats.max_batch, 512u);
+  for (std::uint64_t i = 0; i < kRequests; ++i)
+    ASSERT_EQ(seq_of[i], i + 1) << "request " << i;
+}
+
+TEST(SvcService, ConcurrentSubmitsWrapTheRingExactlyOnce) {
+  // Four threads submit at once while the commit thread drains small
+  // batches, so the queue grows past its first capacity and wraps. Every
+  // callback fires exactly once, the sequence numbers are 1..total, and
+  // each thread's commands commit in the order that thread submitted them.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 1500;
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  svc::KvServiceConfig cfg;
+  cfg.group = small_group(61);
+  cfg.batch_limit = 16;
+  std::vector<std::vector<std::uint64_t>> seqs(
+      kThreads, std::vector<std::uint64_t>(kPerThread, 0));
+  std::vector<std::vector<int>> calls(kThreads,
+                                      std::vector<int>(kPerThread, 0));
+  {
+    svc::KvService service(cfg);
+    std::vector<std::thread> clients;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      clients.emplace_back([&, t] {
+        for (std::uint64_t i = 0; i < kPerThread; ++i)
+          service.submit(put_command(t + 1, i + 1),
+                         [&, t, i](const Command&, const CommandResult& result,
+                                   std::uint64_t) {
+                           ++calls[t][i];
+                           seqs[t][i] = result.seq;
+                         });
+      });
+    for (std::thread& c : clients) c.join();
+    service.stop();
+    EXPECT_EQ(service.stats().committed, kTotal);
+  }
+  std::vector<int> seq_seen(kTotal + 1, 0);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      ASSERT_EQ(calls[t][i], 1) << "thread " << t << " command " << i;
+      ASSERT_GE(seqs[t][i], 1u);
+      ASSERT_LE(seqs[t][i], kTotal);
+      ++seq_seen[seqs[t][i]];
+      if (i > 0) {
+        ASSERT_GT(seqs[t][i], seqs[t][i - 1]) << "thread " << t;
+      }
+    }
+  }
+  for (std::uint64_t seq = 1; seq <= kTotal; ++seq)
+    ASSERT_EQ(seq_seen[seq], 1) << "seq " << seq;
+}
+
+TEST(SvcService, IdleCommitThreadWakesForEachLoneSubmit) {
+  // Each submit reaches a commit thread that has drained the queue and is
+  // waiting; the submit must wake it, or the command is never answered.
+  svc::KvServiceConfig cfg;
+  cfg.group = small_group(67);
+  svc::KvService service(cfg);
+  for (std::uint64_t i = 1; i <= 200; ++i) {
+    auto done = std::make_shared<std::promise<std::uint64_t>>();
+    std::future<std::uint64_t> seq = done->get_future();
+    service.submit(put_command(1, i),
+                   [done](const Command&, const CommandResult& result,
+                          std::uint64_t) { done->set_value(result.seq); });
+    ASSERT_EQ(seq.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "submit " << i << " was never answered";
+    EXPECT_EQ(seq.get(), i);
+  }
+  service.stop();
+  EXPECT_EQ(service.stats().slots, 200u);
 }
 
 }  // namespace

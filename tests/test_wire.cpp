@@ -119,7 +119,7 @@ TEST(Wire, GoldenDataFrame) {
   EXPECT_EQ(out, kGolden);
 
   wire::DataFrame back;
-  ASSERT_EQ(wire::decode_data_frame(kGolden.data(), kGolden.size(), &back),
+  ASSERT_EQ(wire::decode_data_frame(kGolden.data(), kGolden.size(), 4, &back),
             wire::DecodeError::kOk);
   EXPECT_EQ(back.from, 1u);
   EXPECT_EQ(back.to, 2u);
@@ -171,8 +171,9 @@ TEST(Wire, GoldenEpidemicDataFrame) {
   EXPECT_EQ(out, kGolden);
 
   wire::DataFrame back;
-  ASSERT_EQ(wire::decode_data_frame(kGolden.data(), kGolden.size(), &back),
-            wire::DecodeError::kOk);
+  ASSERT_EQ(
+      wire::decode_data_frame(kGolden.data(), kGolden.size(), 10, &back),
+      wire::DecodeError::kOk);
   ASSERT_EQ(back.envelopes.size(), 1u);
   const auto* p = payload_cast<EpidemicPayload>(back.envelopes[0]);
   ASSERT_NE(p, nullptr);
@@ -262,7 +263,7 @@ TEST(Wire, DataFrameRoundTripsEveryPayloadShape) {
     Bytes out;
     wire::encode_data_frame(&out, frame);
     wire::DataFrame back;
-    ASSERT_EQ(wire::decode_data_frame(out.data(), out.size(), &back),
+    ASSERT_EQ(wire::decode_data_frame(out.data(), out.size(), kRumors, &back),
               wire::DecodeError::kOk)
         << "shape " << shape;
     EXPECT_EQ(back.from, frame.from);
@@ -387,12 +388,15 @@ TEST(Wire, ControlFramesRoundTrip) {
 
 // --- malformed-frame corpus -----------------------------------------------
 
+/// Process count of rich_data_frame's group.
+constexpr std::size_t kRichN = 12;
+
 /// A structurally rich valid frame (epidemic payload: nested bitsets).
 Bytes rich_data_frame() {
   auto payload = std::make_shared<EpidemicPayload>();
-  payload->rumors = bits_of(12, {0, 3, 11});
-  payload->informed = InformedList(12);
-  payload->informed.note_row(3, bits_of(12, {1, 2}));
+  payload->rumors = bits_of(kRichN, {0, 3, 11});
+  payload->informed = InformedList(kRichN);
+  payload->informed.note_row(3, bits_of(kRichN, {1, 2}));
   wire::DataFrame frame;
   frame.from = 1;
   frame.to = 0;
@@ -406,10 +410,10 @@ Bytes rich_data_frame() {
 TEST(Wire, EveryTruncationPrefixIsRejectedCleanly) {
   const Bytes full = rich_data_frame();
   wire::DataFrame sink;
-  ASSERT_EQ(wire::decode_data_frame(full.data(), full.size(), &sink),
+  ASSERT_EQ(wire::decode_data_frame(full.data(), full.size(), kRichN, &sink),
             wire::DecodeError::kOk);
   for (std::size_t len = 0; len < full.size(); ++len) {
-    EXPECT_NE(wire::decode_data_frame(full.data(), len, &sink),
+    EXPECT_NE(wire::decode_data_frame(full.data(), len, kRichN, &sink),
               wire::DecodeError::kOk)
         << "prefix " << len;
   }
@@ -421,26 +425,26 @@ TEST(Wire, HeaderErrorsAreDistinguished) {
 
   Bytes bad = full;
   bad[0] = 'X';
-  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), kRichN, &sink),
             wire::DecodeError::kBadMagic);
 
   bad = full;
   bad[2] = 2;  // future version
-  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), kRichN, &sink),
             wire::DecodeError::kBadVersion);
 
   bad = full;
   bad[3] = 0;  // below kData
-  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), kRichN, &sink),
             wire::DecodeError::kBadType);
   bad[3] = 9;  // past kBye
-  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(bad.data(), bad.size(), kRichN, &sink),
             wire::DecodeError::kBadType);
 
   // A well-formed frame of the wrong type is kBadType, not a misparse.
   Bytes ack;
   wire::encode_ack_frame(&ack, wire::AckFrame{});
-  EXPECT_EQ(wire::decode_data_frame(ack.data(), ack.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(ack.data(), ack.size(), kRichN, &sink),
             wire::DecodeError::kBadType);
 }
 
@@ -451,27 +455,29 @@ TEST(Wire, OverlongVarintsAreRejected) {
   wire::put_header(&frame, wire::FrameType::kData);
   frame.push_back(0x80);
   frame.push_back(0x00);
-  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), 8, &sink),
             wire::DecodeError::kOverlongVarint);
 
   // Tenth byte carrying more than the 64th bit.
   frame.resize(wire::kHeaderBytes);
   for (int i = 0; i < 9; ++i) frame.push_back(0xff);
   frame.push_back(0x02);
-  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), 8, &sink),
             wire::DecodeError::kOverlongVarint);
 
   // No terminator within ten bytes.
   frame.resize(wire::kHeaderBytes);
   for (int i = 0; i < 10; ++i) frame.push_back(0xff);
-  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), 8, &sink),
             wire::DecodeError::kOverlongVarint);
 }
 
 TEST(Wire, OutOfRangeValuesAreRejected) {
   wire::DataFrame sink;
-  const auto expect_bad = [&](const Bytes& frame, const char* what) {
-    EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), &sink),
+  // The frames below carry 8-bit sets unless a case says otherwise.
+  const auto expect_bad = [&](const Bytes& frame, const char* what,
+                              std::size_t n = 8) {
+    EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), n, &sink),
               wire::DecodeError::kBadValue)
         << what;
   };
@@ -492,6 +498,11 @@ TEST(Wire, OutOfRangeValuesAreRejected) {
   data_prefix(/*seq=*/1, /*count=*/wire::kMaxCount + 1);
   expect_bad(frame, "count over cap");
 
+  // Under the cap, but more envelopes than the frame's bytes can hold (each
+  // takes at least 4): rejected before a vector is sized from the count.
+  data_prefix(/*seq=*/1, /*count=*/wire::kMaxCount);
+  expect_bad(frame, "count beyond the frame's bytes");
+
   data_prefix(/*seq=*/1, /*count=*/1);
   wire::put_varint(&frame, 8);  // id
   wire::put_varint(&frame, 4);  // send_time
@@ -511,6 +522,24 @@ TEST(Wire, OutOfRangeValuesAreRejected) {
   wire::put_varint(&frame, 0);
   expect_bad(frame, "bits over cap");
 
+  // 17 bytes that declare a 2^26-bit set and carry none of it: the decoder
+  // must not size an 8 MiB bitset from the declared count.
+  env_prefix();
+  wire::put_varint(&frame, wire::kMaxBits);
+  wire::put_varint(&frame, 0);
+  ASSERT_EQ(frame.size(), 17u);
+  expect_bad(frame, "declared size far beyond n");
+
+  // A well-formed 8-bit set is still rejected by a receiver whose n is not 8.
+  env_prefix();
+  wire::put_varint(&frame, 8);
+  wire::put_varint(&frame, 1);
+  frame.push_back(0x03);
+  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), 8, &sink),
+            wire::DecodeError::kOk);
+  expect_bad(frame, "bitset of another n", /*n=*/4);
+  expect_bad(frame, "bitset of another n", /*n=*/9);
+
   env_prefix();
   wire::put_varint(&frame, 8);  // 8 bits
   wire::put_varint(&frame, 2);  // but 2 bytes claimed (> ceil(8/8))
@@ -528,7 +557,7 @@ TEST(Wire, OutOfRangeValuesAreRejected) {
   wire::put_varint(&frame, 1);  // 1 bit
   wire::put_varint(&frame, 1);
   frame.push_back(0x02);  // bit 1 set, beyond the declared size
-  expect_bad(frame, "set bit beyond size");
+  expect_bad(frame, "set bit beyond size", /*n=*/1);
 
   // An epidemic informed list must have one row per rumor of V, each row
   // absent (0 bits) or of V's size.
@@ -565,7 +594,7 @@ TEST(Wire, OutOfRangeValuesAreRejected) {
   wire::put_varint(&frame, 4);
   wire::put_varint(&frame, 2);
   wire::put_varint(&frame, 6);  // no such tag
-  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), 8, &sink),
             wire::DecodeError::kBadPayloadTag);
 
   // Flag bytes must be canonical booleans / flag sets.
@@ -593,13 +622,21 @@ TEST(Wire, OutOfRangeValuesAreRejected) {
   EXPECT_EQ(
       wire::decode_peer_table_frame(table.data(), table.size(), &table_sink),
       wire::DecodeError::kBadValue);
+
+  // More ports than bytes left in the frame.
+  table.clear();
+  wire::put_header(&table, wire::FrameType::kPeerTable);
+  wire::put_varint(&table, wire::kMaxCount);
+  EXPECT_EQ(
+      wire::decode_peer_table_frame(table.data(), table.size(), &table_sink),
+      wire::DecodeError::kBadValue);
 }
 
 TEST(Wire, TrailingBytesAreRejected) {
   Bytes frame = rich_data_frame();
   frame.push_back(0x00);
   wire::DataFrame sink;
-  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), &sink),
+  EXPECT_EQ(wire::decode_data_frame(frame.data(), frame.size(), kRichN, &sink),
             wire::DecodeError::kTrailingBytes);
 }
 
