@@ -7,7 +7,8 @@
 //
 //   envelopes_per_sec : codec throughput in envelopes (not frames; batch
 //                       size is the driver's per-tick fan-out, so per-
-//                       envelope cost is what scales)
+//                       envelope cost is what scales), timed by the case's
+//                       own loop; bytes_per_sec likewise
 //   bytes_per_frame   : encoded size of the batch — the wire-compactness
 //                       claim (varint-packed bitsets) made checkable
 //
@@ -17,6 +18,7 @@
 // bench pins encode+decode agreement while measuring.
 //
 // Run `AG_BENCH_JSON=BENCH_wire.json ./bench_wire` for the JSON report.
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,22 +103,36 @@ wire::DataFrame make_frame(Shape shape, std::size_t n) {
   return frame;
 }
 
+/// Rates from the case's own timed loop, as plain counters: record_case
+/// sees raw counter values, so Google Benchmark's kIsRate counters (what
+/// SetItemsProcessed/SetBytesProcessed create) cannot be reported.
+void set_rates(benchmark::State& state,
+               std::chrono::steady_clock::time_point start,
+               std::size_t bytes_per_frame) {
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  const double frames = static_cast<double>(state.iterations());
+  state.counters["envelopes_per_sec"] =
+      frames * static_cast<double>(kBatch) / wall_s;
+  state.counters["bytes_per_sec"] =
+      frames * static_cast<double>(bytes_per_frame) / wall_s;
+  state.counters["bytes_per_frame"] = static_cast<double>(bytes_per_frame);
+}
+
 void run_encode_case(benchmark::State& state, Shape shape) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const wire::DataFrame frame = make_frame(shape, n);
   std::vector<std::uint8_t> out;
   std::size_t bytes = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     out.clear();
     wire::encode_data_frame(&out, frame);
     bytes = out.size();
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kBatch));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bytes));
-  state.counters["bytes_per_frame"] = static_cast<double>(bytes);
+  set_rates(state, start, bytes);
   record_case(state, std::string("wire/encode/") + shape_name(shape) + "/n" +
                          std::to_string(n));
 }
@@ -126,6 +142,7 @@ void run_decode_case(benchmark::State& state, Shape shape) {
   std::vector<std::uint8_t> bytes;
   wire::encode_data_frame(&bytes, make_frame(shape, n));
   wire::DataFrame back;
+  const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     const wire::DecodeError err =
         wire::decode_data_frame(bytes.data(), bytes.size(), n, &back);
@@ -135,11 +152,7 @@ void run_decode_case(benchmark::State& state, Shape shape) {
     }
     benchmark::DoNotOptimize(back.envelopes.data());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kBatch));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bytes.size()));
-  state.counters["bytes_per_frame"] = static_cast<double>(bytes.size());
+  set_rates(state, start, bytes.size());
   record_case(state, std::string("wire/decode/") + shape_name(shape) + "/n" +
                          std::to_string(n));
 }

@@ -68,27 +68,33 @@ bool Xoshiro256SS::bernoulli(double p) {
 
 std::vector<std::uint64_t> Xoshiro256SS::sample_without_replacement(
     std::uint64_t bound, std::uint64_t k) {
+  std::vector<std::uint64_t> out;
+  sample_without_replacement(bound, k, &out);
+  return out;
+}
+
+void Xoshiro256SS::sample_without_replacement(
+    std::uint64_t bound, std::uint64_t k, std::vector<std::uint64_t>* out) {
   AG_ASSERT_MSG(k <= bound, "cannot sample more values than the range holds");
   // Floyd's algorithm produces k distinct values; we then Fisher-Yates
   // shuffle so callers may treat the order as uniform too.
-  std::vector<std::uint64_t> out;
-  out.reserve(k);
+  out->clear();
+  out->reserve(k);
   for (std::uint64_t j = bound - k; j < bound; ++j) {
     const std::uint64_t t = uniform(j + 1);
     bool seen = false;
-    for (std::uint64_t v : out) {
+    for (std::uint64_t v : *out) {
       if (v == t) {
         seen = true;
         break;
       }
     }
-    out.push_back(seen ? j : t);
+    out->push_back(seen ? j : t);
   }
-  for (std::uint64_t i = out.size(); i > 1; --i) {
+  for (std::uint64_t i = out->size(); i > 1; --i) {
     const std::uint64_t j = uniform(i);
-    std::swap(out[i - 1], out[j]);
+    std::swap((*out)[i - 1], (*out)[j]);
   }
-  return out;
 }
 
 Xoshiro256SS Xoshiro256SS::split() { return Xoshiro256SS(next()); }

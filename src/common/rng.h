@@ -46,6 +46,9 @@ class Xoshiro256SS {
   /// from [0, bound). Floyd's algorithm; O(k) expected. Order is random.
   std::vector<std::uint64_t> sample_without_replacement(std::uint64_t bound,
                                                         std::uint64_t k);
+  /// The same draw into a caller-owned buffer (replaced, capacity kept).
+  void sample_without_replacement(std::uint64_t bound, std::uint64_t k,
+                                  std::vector<std::uint64_t>* out);
 
   /// Derives an independent child generator (seeded from this stream).
   /// Used to give each process / adversary its own stream.

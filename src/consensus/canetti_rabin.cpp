@@ -14,15 +14,14 @@ constexpr std::uint64_t kMaxLoggedPhase = 2;
 
 ConsensusProcess::ConsensusProcess(ProcessId id, Val input,
                                    ConsensusConfig config)
-    : id_(id),
-      config_(config),
-      rng_(config.seed ^ (0xC0A5E5505ULL + id)),
-      input_(input),
-      x_(input),
-      inst_(config.n),
-      notified_(config.n, false) {
+    : id_(id) {
+  restart(input, config);
+}
+
+void ConsensusProcess::restart(Val input, const ConsensusConfig& config) {
+  config_ = config;
   AG_ASSERT_MSG(config_.n >= 3, "consensus needs n >= 3");
-  AG_ASSERT_MSG(id < config_.n, "bad process id");
+  AG_ASSERT_MSG(id_ < config_.n, "bad process id");
   AG_ASSERT_MSG(config_.f < (config_.n + 1) / 2, "consensus needs f < n/2");
   AG_ASSERT_MSG(input == 0 || input == 1, "binary consensus input");
 
@@ -33,11 +32,29 @@ ConsensusProcess::ConsensusProcess(ProcessId id, Val input,
   if (config_.stagnation_limit == 0)
     config_.stagnation_limit = 2 * config_.n;
 
+  rng_ = Xoshiro256SS(config_.seed ^ (0xC0A5E5505ULL + id_));
+  input_ = input;
+  x_ = input;
+  y_ = kValBot;
+  coin_flip_ = kValUnknown;
+  pending_adopt_ = kValUnknown;
+  pos_ = Position{};
+  decided_ = false;
+  decision_ = kValUnknown;
+  decided_phase_ = 0;
+  mode_ = Mode::kActive;
+  helping_steps_left_ = 0;
+  fanout_ = 1;
+  tears_params_ = TearsConfig{};
+  notified_.assign(config_.n, false);
+  steps_taken_ = 0;
+  core_violations_ = 0;
+  reannouncements_ = 0;
+  getcore_log_.clear();
+
   switch (config_.exchange) {
     case ExchangeKind::kAllToAll:
-      break;
     case ExchangeKind::kEars:
-      fanout_ = 1;
       break;
     case ExchangeKind::kSears: {
       const double raw = config_.sears_fanout_constant *
@@ -57,8 +74,7 @@ ConsensusProcess::ConsensusProcess(ProcessId id, Val input,
       break;
   }
 
-  inst_.add_own(id_, x_);
-  reset_transport();
+  start_instance();
 }
 
 std::size_t ConsensusProcess::completion_threshold() const {
@@ -97,13 +113,15 @@ void ConsensusProcess::reset_transport() {
 }
 
 void ConsensusProcess::start_instance() {
-  inst_ = InstanceState(config_.n);
+  inst_.reset(config_.n);
   inst_.add_own(id_, own_rumor_value());
   reset_transport();
+  touch();
 }
 
 void ConsensusProcess::decide(Val v) {
   if (decided_) return;
+  touch();
   decided_ = true;
   decision_ = v;
   decided_phase_ = pos_.phase;
@@ -168,6 +186,7 @@ void ConsensusProcess::advance_if_complete() {
       inst_.origins.clear_all();
       inst_.origins.set(id_);
       reset_transport();
+      touch();
     } else {
       consume_getcore();
     }
@@ -187,10 +206,14 @@ void ConsensusProcess::handle_message(const ConsensusPayload& m,
   }
 
   if (m.pos == pos_) {
-    if (inst_.merge(m.state)) stagnant_steps_ = 0;
+    if (inst_.merge(m.state)) {
+      stagnant_steps_ = 0;
+      touch();
+    }
     if (config_.exchange == ExchangeKind::kTears && m.flag_up) ++up_cnt_;
   } else if (m.pos > pos_) {
     // Catch up: adopt the sender's outcomes and position (paper Section 6).
+    touch();
     x_ = m.sender_x == kValUnknown ? x_ : m.sender_x;
     y_ = m.sender_y;
     pos_ = m.pos;
@@ -216,9 +239,31 @@ void ConsensusProcess::handle_message(const ConsensusPayload& m,
   }
 }
 
-std::shared_ptr<ConsensusPayload> ConsensusProcess::snapshot(
-    bool flag_up) const {
-  auto p = std::make_shared<ConsensusPayload>();
+PayloadPtr ConsensusProcess::snapshot(bool flag_up) {
+  CachedSnapshot& cached = cached_[flag_up ? 1 : 0];
+  if (cached.payload != nullptr && cached.epoch == epoch_)
+    return cached.payload;
+  std::shared_ptr<ConsensusPayload> p;
+  if (reuse_payloads_) {
+    // Drop stale cache references first, so a payload held only by kept_
+    // shows use_count() == 1. Inside the engine that count is exact: every
+    // engine reference is taken and dropped on the engine thread, ordered
+    // before this step (under --engine-jobs too, by the shard pool's
+    // barrier around the serial merge).
+    for (CachedSnapshot& c : cached_)
+      if (c.epoch != epoch_) c.payload.reset();
+    for (const std::shared_ptr<ConsensusPayload>& k : kept_)
+      if (k.use_count() == 1) {
+        p = k;
+        break;
+      }
+    if (p == nullptr) {
+      p = std::make_shared<ConsensusPayload>();
+      kept_.push_back(p);
+    }
+  } else {
+    p = std::make_shared<ConsensusPayload>();
+  }
   p->sender = id_;
   p->pos = pos_;
   p->state = inst_;
@@ -227,6 +272,8 @@ std::shared_ptr<ConsensusPayload> ConsensusProcess::snapshot(
   p->decided = decided_;
   p->decision = decision_;
   p->flag_up = flag_up;
+  cached.payload = p;
+  cached.epoch = epoch_;
   return p;
 }
 
@@ -272,8 +319,8 @@ void ConsensusProcess::do_transport(StepContext& ctx) {
     }
     case ExchangeKind::kSears: {
       auto payload = snapshot(false);
-      for (std::uint64_t q :
-           rng_.sample_without_replacement(config_.n, fanout_))
+      rng_.sample_without_replacement(config_.n, fanout_, &targets_);
+      for (std::uint64_t q : targets_)
         ctx.send(static_cast<ProcessId>(q), payload);
       break;
     }
@@ -301,10 +348,11 @@ void ConsensusProcess::do_transport(StepContext& ctx) {
 
 void ConsensusProcess::step(StepContext& ctx) {
   up_cnt_step_start_ = up_cnt_;
-  std::vector<ProcessId> notify;
+  reuse_payloads_ = ctx.payload_reuse_safe();
+  notify_.clear();
   for (const Envelope& env : ctx.received()) {
     const auto* m = payload_cast<ConsensusPayload>(env);
-    if (m != nullptr) handle_message(*m, notify);
+    if (m != nullptr) handle_message(*m, notify_);
   }
 
   if (mode_ != Mode::kRetired) {
@@ -322,16 +370,22 @@ void ConsensusProcess::step(StepContext& ctx) {
 
   // Reactive pushes: decided notifications from retirees, catch-up pushes
   // from the all-to-all transport.
-  if (!notify.empty()) {
+  if (!notify_.empty()) {
     auto payload = snapshot(false);
-    for (ProcessId q : notify) ctx.send(q, payload);
+    for (ProcessId q : notify_) ctx.send(q, payload);
   }
 
   ++steps_taken_;
 }
 
 std::unique_ptr<Process> ConsensusProcess::clone() const {
-  return std::make_unique<ConsensusProcess>(*this);
+  auto copy = std::make_unique<ConsensusProcess>(*this);
+  // A kept payload may be overwritten once its count drops to one; two
+  // owners would each see the other's reference, and the clone may step
+  // outside the engine.
+  copy->kept_.clear();
+  for (CachedSnapshot& c : copy->cached_) c.payload.reset();
+  return copy;
 }
 
 std::string ConsensusProcess::final_note() const {
@@ -352,9 +406,7 @@ std::string ConsensusProcess::final_note() const {
 bool consensus_all_decided(const Engine& engine) {
   for (ProcessId p = 0; p < engine.n(); ++p) {
     if (engine.crashed(p)) continue;
-    const auto* cp = dynamic_cast<const ConsensusProcess*>(&engine.process(p));
-    AG_ASSERT_MSG(cp != nullptr, "needs ConsensusProcess instances");
-    if (!cp->decided()) return false;
+    if (!engine.process_as<ConsensusProcess>(p).decided()) return false;
   }
   return true;
 }

@@ -66,7 +66,15 @@ class ConsensusProcess final : public GossipProcess {
  public:
   ConsensusProcess(ProcessId id, Val input, ConsensusConfig config);
 
+  /// Returns the process to its freshly constructed state for a new run
+  /// with `input` and `config` (the constructor's only initialisation, so
+  /// a restarted process behaves exactly like a new one). Buffers keep
+  /// their capacity, which is what lets a consensus slot run without
+  /// allocating (svc/replica.h).
+  void restart(Val input, const ConsensusConfig& config);
+
   void step(StepContext& ctx) override;
+  /// The copy shares no kept payloads with this process (see snapshot).
   std::unique_ptr<Process> clone() const override;
   void reseed(std::uint64_t seed) override { rng_ = Xoshiro256SS(seed); }
 
@@ -91,6 +99,8 @@ class ConsensusProcess final : public GossipProcess {
   Val input() const { return input_; }
   bool retired() const { return mode_ == Mode::kRetired; }
   const Position& position() const { return pos_; }
+  /// The current sub-instance's state (what the next snapshot carries).
+  const InstanceState& instance() const { return inst_; }
   std::uint64_t core_violations() const { return core_violations_; }
   std::uint64_t reannouncements() const { return reannouncements_; }
 
@@ -113,7 +123,17 @@ class ConsensusProcess final : public GossipProcess {
   Val own_rumor_value() const;
   void start_instance();  // resets inst_ + transport for the current pos_
   void reset_transport();
-  std::shared_ptr<ConsensusPayload> snapshot(bool flag_up) const;
+  /// The payload announcing the current state. Returns the previous
+  /// snapshot with the same flag while nothing it carries has changed
+  /// (payloads are immutable once sent, so sharing one is free). Otherwise,
+  /// when the step runs inside the simulation engine
+  /// (StepContext::payload_reuse_safe), it overwrites a kept payload that
+  /// the engine has released, and allocates only when every kept payload
+  /// is still in flight.
+  PayloadPtr snapshot(bool flag_up);
+  /// Marks the state a snapshot carries (pos_, inst_, x_, y_, decided_,
+  /// decision_) as changed.
+  void touch() { ++epoch_; }
   void do_transport(StepContext& ctx);
   std::size_t completion_threshold() const;
   bool tears_trigger_crossed(std::uint64_t before, std::uint64_t after) const;
@@ -122,8 +142,8 @@ class ConsensusProcess final : public GossipProcess {
   ConsensusConfig config_;
   Xoshiro256SS rng_;
 
-  Val input_;
-  Val x_;
+  Val input_ = 0;
+  Val x_ = 0;
   Val y_ = kValBot;
   Val coin_flip_ = kValUnknown;
   Val pending_adopt_ = kValUnknown;
@@ -150,6 +170,21 @@ class ConsensusProcess final : public GossipProcess {
   std::uint64_t core_violations_ = 0;
   std::uint64_t reannouncements_ = 0;
   std::vector<GetCoreRecord> getcore_log_;
+
+  // Per-step scratch (capacity persists across steps and restarts).
+  std::vector<ProcessId> notify_;
+  std::vector<std::uint64_t> targets_;
+
+  // Snapshot reuse (see snapshot()). epoch_ only grows, also across
+  // restarts, so a cached snapshot never outlives the state it carries.
+  struct CachedSnapshot {
+    std::shared_ptr<ConsensusPayload> payload;
+    std::uint64_t epoch = 0;
+  };
+  std::uint64_t epoch_ = 1;
+  CachedSnapshot cached_[2];  // indexed by flag_up
+  bool reuse_payloads_ = false;  // this step's StepContext allows reuse
+  std::vector<std::shared_ptr<ConsensusPayload>> kept_;
 };
 
 // ---------------------------------------------------------------------------

@@ -50,20 +50,44 @@ struct Position {
 /// origin -> vote value for the current exchange; values are consistent
 /// across senders (an origin's vote in a given exchange is fixed), so
 /// merging is a plain union.
+///
+/// `known` marks the items that hold a value (items[i] != kValUnknown), so
+/// a merge touches only the items `other` knows and this state does not:
+/// one word-level `other.known & ~known` pass, then one write per new item.
+/// The mask tracks items, not `origins`: sub-instances 1 and 2 restart
+/// `origins` from self but keep the accumulated items. Code that writes
+/// `items` directly must go through set_item or call rebuild_known (the
+/// wire decoder does).
 struct InstanceState {
   DynamicBitset origins;
+  DynamicBitset known;
   std::vector<Val> items;
 
   explicit InstanceState(std::size_t n = 0)
-      : origins(n), items(n, kValUnknown) {}
+      : origins(n), known(n), items(n, kValUnknown) {}
+
+  /// Empties the state for `n` processes, in place when n is unchanged.
+  void reset(std::size_t n);
 
   /// Union-merge; returns true if anything new arrived.
   bool merge(const InstanceState& other);
 
+  /// Sets item i (kValUnknown clears it) and keeps `known` in step.
+  void set_item(std::size_t i, Val value) {
+    items[i] = value;
+    if (value == kValUnknown)
+      known.reset(i);
+    else
+      known.set(i);
+  }
+
+  /// Recomputes `known` from `items`.
+  void rebuild_known();
+
   /// Registers this process's own rumor for the sub-instance.
   void add_own(ProcessId self, Val value) {
     origins.set(self);
-    if (items[self] == kValUnknown) items[self] = value;
+    if (items[self] == kValUnknown) set_item(self, value);
   }
 };
 

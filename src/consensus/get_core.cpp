@@ -16,15 +16,40 @@ const char* to_string(ExchangeKind kind) {
   return "?";
 }
 
+void InstanceState::reset(std::size_t n) {
+  if (origins.size() == n && known.size() == n) {
+    origins.clear_all();
+    known.clear_all();
+  } else {
+    origins = DynamicBitset(n);
+    known = DynamicBitset(n);
+  }
+  items.assign(n, kValUnknown);
+}
+
 bool InstanceState::merge(const InstanceState& other) {
   bool changed = origins.merge(other.origins);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i] == kValUnknown && other.items[i] != kValUnknown) {
+  const std::vector<std::uint64_t>& mine = known.words();
+  const std::vector<std::uint64_t>& theirs = other.known.words();
+  for (std::size_t w = 0; w < theirs.size(); ++w) {
+    std::uint64_t fresh = theirs[w] & ~mine[w];
+    while (fresh != 0) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(__builtin_ctzll(fresh));
       items[i] = other.items[i];
+      known.set(i);
+      fresh &= fresh - 1;
       changed = true;
     }
   }
   return changed;
+}
+
+void InstanceState::rebuild_known() {
+  if (known.size() != items.size()) known = DynamicBitset(items.size());
+  known.clear_all();
+  for (std::size_t i = 0; i < items.size(); ++i)
+    if (items[i] != kValUnknown) known.set(i);
 }
 
 Val evaluate_estimate_votes(const InstanceState& collected) {

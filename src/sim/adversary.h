@@ -76,6 +76,14 @@ class Adversary {
   /// Called once at the start of every global time step.
   virtual StepDecision decide(Time now, const EngineView& view) = 0;
 
+  /// What the engine calls: decide()'s result written into `out`, a
+  /// decision the engine reuses across steps. Overriding it to refill
+  /// `out` in place keeps the step loop from allocating.
+  virtual void decide_into(Time now, const EngineView& view,
+                           StepDecision& out) {
+    out = decide(now, view);
+  }
+
   /// Called when a message is sent; returns the delay (in steps) before the
   /// message becomes deliverable. The engine clamps the result into
   /// [1, d], so no adversary can violate the execution's delivery bound.

@@ -115,33 +115,45 @@ class Engine::RecordingProbeSink final : public ProbeSink {
 
 Engine::Engine(std::vector<std::unique_ptr<Process>> processes,
                std::unique_ptr<Adversary> adversary, EngineConfig config)
-    : config_(config),
-      processes_(std::move(processes)),
+    : processes_(std::move(processes)),
       adversary_(std::move(adversary)),
-      metrics_(processes_.size()),
-      crashed_(processes_.size(), false),
-      alive_count_(processes_.size()),
-      wheel_width_(static_cast<std::size_t>(config.d + config.delta + 1)),
-      wheel_(processes_.size() * wheel_width_),
-      pending_count_(processes_.size(), 0),
-      in_flight_total_(0),
-      last_step_time_(processes_.size(), 0),
-      stepped_once_(processes_.size(), false),
-      local_steps_(processes_.size(), 0) {
+      metrics_(processes_.size()) {
   if (processes_.empty()) throw ApiError("Engine needs at least one process");
   for (const auto& p : processes_)
     if (p == nullptr) throw ApiError("null process");
   if (adversary_ == nullptr) throw ApiError("null adversary");
-  if (config_.d < 1 || config_.delta < 1)
+  restart(config);
+}
+
+void Engine::restart(const EngineConfig& config) {
+  const std::size_t n = processes_.size();
+  if (config.d < 1 || config.delta < 1)
     throw ApiError("model bounds d and delta must be >= 1");
-  if (config_.max_crashes >= processes_.size())
+  if (config.max_crashes >= n)
     throw ApiError("crash budget f must satisfy f < n");
+  for (EnvelopeArena::Bucket& b : wheel_) release_chain(b);
+  if (config.jobs != config_.jobs) pool_.reset();
+  config_ = config;
   jobs_ = config_.jobs != 0
               ? config_.jobs
               : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  want_scratch_.resize(processes_.size(), 0);
-  schedule_scratch_.reserve(processes_.size());
-  slots_.resize(1);
+  metrics_.reset(n);
+  now_ = 0;
+  crashed_.assign(n, false);
+  alive_count_ = n;
+  crashes_ = 0;
+  wheel_width_ = static_cast<std::size_t>(config_.d + config_.delta + 1);
+  wheel_.assign(n * wheel_width_, EnvelopeArena::Bucket{});
+  pending_count_.assign(n, 0);
+  in_flight_total_ = 0;
+  last_step_time_.assign(n, 0);
+  stepped_once_.assign(n, false);
+  local_steps_.assign(n, 0);
+  next_message_id_ = 0;
+  trace_hash_ = kTraceHashSeed;
+  want_scratch_.assign(n, 0);
+  schedule_scratch_.reserve(n);
+  if (slots_.empty()) slots_.resize(1);
 }
 
 void Engine::run(Time steps) {
@@ -274,6 +286,7 @@ void Engine::run_slot(ProcessId p, SlotResult& slot, FlightRing* ring) {
   }
   StepContext ctx(p, processes_.size(), local_steps_[p], slot.delivered,
                   slot.outbox);
+  ctx.allow_payload_reuse();
   RecordingProbeSink recorder(&slot.probes);
   if (probe_sink_ != nullptr) ctx.attach_probe(&recorder, now_);
   {
@@ -325,6 +338,9 @@ void Engine::dispatch_sends(ProcessId from,
   // one payload is sized once.
   const Payload* sized = nullptr;
   std::size_t size = 0;
+  // The owner of a fan-out run whose destination crashed, kept for the
+  // run's non-owning aliases (StepContext::send).
+  PayloadPtr skipped_owner;
   for (StepContext::Outgoing& o : out) {
     AG_ASSERT_MSG(o.to < processes_.size(), "send target out of range");
     Envelope env;
@@ -346,10 +362,20 @@ void Engine::dispatch_sends(ProcessId from,
       flight_record_send(flight_, env.id, env.from, env.to, now_,
                          env.deliver_after);
     hash_mix(0x5E4Dull ^ env.id ^ (static_cast<std::uint64_t>(env.to) << 32));
-    if (crashed_[env.to]) continue;  // delivery to a crashed process is moot
+    const bool alias = o.payload != nullptr && o.payload.use_count() == 0;
+    if (crashed_[env.to]) {  // delivery to a crashed process is moot
+      if (!alias) skipped_owner = std::move(o.payload);
+      continue;
+    }
     // Interning after the crash check keeps doomed payloads out of the pool;
     // intern + append in send order keeps every chain sorted by message id.
-    const std::uint32_t handle = payloads_.intern(std::move(o.payload));
+    // An alias hits the pool's memo, which holds its run's owner, unless
+    // the owner's destination crashed: then it interns the owner.
+    PayloadPtr& source = alias && !payloads_.memoized(o.payload.get())
+                             ? skipped_owner
+                             : o.payload;
+    AG_ASSERT_MSG(source.get() == o.payload.get(), "fan-out run lost its owner");
+    const std::uint32_t handle = payloads_.intern(std::move(source));
     arena_.append(bucket(env.to, env.deliver_after),
                   {env.id, env.send_time, env.deliver_after, env.from, handle});
     ++pending_count_[env.to];
@@ -359,11 +385,11 @@ void Engine::dispatch_sends(ProcessId from,
 
 void Engine::advance_one_step() {
   const EngineView view(*this);
-  StepDecision decision = adversary_->decide(now_, view);
+  adversary_->decide_into(now_, view, decision_);
 
-  apply_crashes(decision.crash);
+  apply_crashes(decision_.crash);
   const std::vector<ProcessId>& schedule =
-      effective_schedule(decision.schedule);
+      effective_schedule(decision_.schedule);
 
   // Serial and sharded stepping share the same two phases per slot; the
   // serial path simply interleaves them, which reproduces the historical

@@ -85,6 +85,16 @@ class Engine {
   Engine(std::vector<std::unique_ptr<Process>> processes,
          std::unique_ptr<Adversary> adversary, EngineConfig config);
 
+  /// Starts a new execution at time 0 under `config`: drops every message
+  /// in flight and resets time, crashes, mailboxes, metrics, message ids
+  /// and the trace hash, exactly as construction does (the constructor
+  /// calls this). Buffers, the envelope arena's slabs and the worker pool
+  /// are kept, so a run on a restarted engine allocates little. The
+  /// processes and the adversary are not touched: the owner restarts them
+  /// first (ConsensusProcess::restart, ObliviousAdversary::restart).
+  /// Observers, the probe sink and the flight ring stay attached.
+  void restart(const EngineConfig& config);
+
   /// Advances exactly `steps` global time steps.
   void run(Time steps);
 
@@ -105,7 +115,7 @@ class Engine {
   /// Typed accessor for algorithm-specific inspection in tests/benches.
   template <typename T>
   const T& process_as(ProcessId p) const {
-    const T* t = dynamic_cast<const T*>(processes_[p].get());
+    const T* t = checked_cast<T>(processes_[p].get());
     AG_ASSERT_MSG(t != nullptr, "process type mismatch");
     return *t;
   }
@@ -138,7 +148,7 @@ class Engine {
   /// Arena/payload-pool counters (sim/envelope_arena.h): the bench suite
   /// reports slab_allocations as its allocation tripwire — once the arena
   /// reaches the execution's standing in-flight volume it must stop
-  /// growing.
+  /// growing. The counters run on across restart().
   ArenaStats arena_stats() const {
     ArenaStats st = arena_.stats();
     st.payloads_interned = payloads_.interned_total();
@@ -245,13 +255,13 @@ class Engine {
 
   Time now_ = 0;
   std::vector<bool> crashed_;
-  std::size_t alive_count_;
+  std::size_t alive_count_ = 0;
   std::size_t crashes_ = 0;
 
   // Timing-wheel mailboxes: wheel_[p * wheel_width_ + t % wheel_width_] is
   // the slab chain of messages destined to p whose delivery deadline is t,
   // in send order. pending_count_[p] tracks p's total across its buckets.
-  std::size_t wheel_width_;
+  std::size_t wheel_width_ = 0;
   std::vector<EnvelopeArena::Bucket> wheel_;
   EnvelopeArena arena_;
   PayloadPool payloads_;
@@ -262,7 +272,8 @@ class Engine {
   std::vector<bool> stepped_once_;
   std::vector<std::uint64_t> local_steps_;
   MessageId next_message_id_ = 0;
-  std::uint64_t trace_hash_ = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kTraceHashSeed = 0xcbf29ce484222325ULL;
+  std::uint64_t trace_hash_ = kTraceHashSeed;
   std::vector<EngineObserver*> observers_;
   ProbeSink* probe_sink_ = nullptr;
   FlightRing* flight_ = nullptr;
@@ -276,6 +287,7 @@ class Engine {
   // Reusable per-step scratch buffers (hot path: no steady-state
   // allocation). Contents are only valid between fill and use within one
   // advance_one_step; capacity persists across steps.
+  StepDecision decision_;
   std::vector<std::uint8_t> want_scratch_;
   std::vector<ProcessId> schedule_scratch_;
 };

@@ -79,13 +79,14 @@ class PayloadPool {
 
   /// Takes (shared) ownership of `p` and returns its handle with one
   /// reference. Consecutive interns of the same payload object hit the
-  /// memo and share a slot.
+  /// memo and share a slot; only a hit may pass a non-owning alias.
   std::uint32_t intern(PayloadPtr p) {
     if (p == nullptr) return kNoPayload;
     if (p.get() == memo_raw_) {
       ++refs_[memo_idx_];
       return memo_idx_;
     }
+    AG_ASSERT_MSG(p.use_count() != 0, "payload pool needs an owner");
     std::uint32_t h;
     if (!free_.empty()) {
       h = free_.back();
@@ -119,6 +120,11 @@ class PayloadPool {
       free_.push_back(h);
       --live_;
     }
+  }
+
+  /// True when an intern of `p` would hit the memo (no owner needed).
+  bool memoized(const Payload* p) const {
+    return p != nullptr && p == memo_raw_;
   }
 
   /// Borrowed pointer; valid while the handle holds a reference.

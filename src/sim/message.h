@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <memory>
 #include <type_traits>
+#include <typeinfo>
 #include <utility>
 
 #include "sim/types.h"
@@ -98,11 +99,29 @@ struct Envelope {
   PayloadRef payload;
 };
 
+/// Checked downcast of a polymorphic pointer; nullptr on mismatch or null.
+/// For a final T an exact-type test is complete, so it is one type_info
+/// comparison instead of dynamic_cast's walk of the class hierarchy (the
+/// consensus step casts every received payload). Other T use dynamic_cast.
+template <typename T, typename Base>
+const T* checked_cast(const Base* p) {
+  if constexpr (std::is_final_v<T>) {
+    return p != nullptr && typeid(*p) == typeid(T) ? static_cast<const T*>(p)
+                                                   : nullptr;
+  } else {
+    return dynamic_cast<const T*>(p);
+  }
+}
+
 /// Convenience downcast for algorithm code. Returns nullptr on mismatch so
 /// algorithms can ignore foreign payload types (used by layered protocols).
 template <typename T>
+const T* payload_cast(const Payload* payload) {
+  return checked_cast<T>(payload);
+}
+template <typename T>
 const T* payload_cast(const Envelope& env) {
-  return dynamic_cast<const T*>(env.payload.get());
+  return payload_cast<T>(env.payload.get());
 }
 
 }  // namespace asyncgossip

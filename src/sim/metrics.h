@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/types.h"
@@ -19,6 +20,17 @@ class Metrics {
  public:
   explicit Metrics(std::size_t n)
       : per_process_sent_(n, 0), per_process_received_(n, 0) {}
+
+  /// Zeroes every counter for a run over n processes, keeping the
+  /// per-process buffers.
+  void reset(std::size_t n) {
+    Metrics zeroed(0);
+    zeroed.per_process_sent_ = std::move(per_process_sent_);
+    zeroed.per_process_received_ = std::move(per_process_received_);
+    zeroed.per_process_sent_.assign(n, 0);
+    zeroed.per_process_received_.assign(n, 0);
+    *this = std::move(zeroed);
+  }
 
   // --- recording (engine only) ------------------------------------------
   // Defined inline: these run once per message / per step on the engine hot

@@ -95,16 +95,28 @@ CrashPlan staggered_suffix_crashes(std::size_t n, std::size_t f,
   return plan;
 }
 
-ObliviousAdversary::ObliviousAdversary(ObliviousConfig config)
-    : config_(std::move(config)),
-      schedule_rng_(config_.seed ^ 0x5C4ED0000ULL),
-      delay_rng_(config_.seed ^ 0xDE1A0000ULL),
-      rotate_width_(0),
-      sorted_plan_(config_.crash_plan) {
+ObliviousAdversary::ObliviousAdversary(ObliviousConfig config) {
+  restart(config);
+}
+
+void ObliviousAdversary::restart(const ObliviousConfig& config) {
+  config_ = config;
   AG_ASSERT_MSG(config_.n > 0, "oblivious adversary needs n > 0");
   AG_ASSERT_MSG(config_.d >= 1 && config_.delta >= 1, "bounds must be >= 1");
-  std::stable_sort(sorted_plan_.begin(), sorted_plan_.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  schedule_rng_ = Xoshiro256SS(config_.seed ^ 0x5C4ED0000ULL);
+  delay_rng_ = Xoshiro256SS(config_.seed ^ 0xDE1A0000ULL);
+  rotate_width_ = 0;
+  crash_cursor_ = 0;
+  sorted_plan_ = config_.crash_plan;
+  const auto by_time = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  // A plan already in time order (the replica group's) skips
+  // stable_sort's buffer allocation.
+  if (!std::is_sorted(sorted_plan_.begin(), sorted_plan_.end(), by_time))
+    std::stable_sort(sorted_plan_.begin(), sorted_plan_.end(), by_time);
+  periods_.clear();
+  phases_.clear();
   if (config_.schedule == SchedulePattern::kStaggered) {
     periods_.resize(config_.n);
     phases_.resize(config_.n);
@@ -138,6 +150,13 @@ ObliviousAdversary::ObliviousAdversary(ObliviousConfig config)
 
 StepDecision ObliviousAdversary::decide_oblivious(Time now) {
   StepDecision d;
+  decide_oblivious(now, d);
+  return d;
+}
+
+void ObliviousAdversary::decide_oblivious(Time now, StepDecision& d) {
+  d.crash.clear();
+  d.schedule.clear();
   while (crash_cursor_ < sorted_plan_.size() &&
          sorted_plan_[crash_cursor_].first <= now) {
     d.crash.push_back(sorted_plan_[crash_cursor_].second);
@@ -178,7 +197,6 @@ StepDecision ObliviousAdversary::decide_oblivious(Time now) {
       }
       break;
   }
-  return d;
 }
 
 Time ObliviousAdversary::delay_oblivious(MessageId /*ordinal*/,

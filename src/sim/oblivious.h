@@ -99,8 +99,16 @@ class ObliviousAdversary final : public Adversary {
  public:
   explicit ObliviousAdversary(ObliviousConfig config);
 
+  /// Re-commits to `config` from time 0, exactly as construction does (the
+  /// constructor calls this); buffers keep their capacity.
+  void restart(const ObliviousConfig& config);
+
   StepDecision decide(Time now, const EngineView& /*view*/) override {
     return decide_oblivious(now);
+  }
+  void decide_into(Time now, const EngineView& /*view*/,
+                   StepDecision& out) override {
+    decide_oblivious(now, out);
   }
   Time message_delay(const Envelope& env,
                      const EngineView& /*view*/) override {
@@ -109,6 +117,8 @@ class ObliviousAdversary final : public Adversary {
 
   /// Pure-of-view decision functions (also used directly by tests).
   StepDecision decide_oblivious(Time now);
+  /// The same decision written into `out` (replaced, capacity kept).
+  void decide_oblivious(Time now, StepDecision& out);
   Time delay_oblivious(MessageId ordinal, ProcessId to = 0);
 
  private:
@@ -117,7 +127,7 @@ class ObliviousAdversary final : public Adversary {
   Xoshiro256SS delay_rng_;
   std::vector<Time> periods_;   // kStaggered
   std::vector<Time> phases_;    // kStaggered
-  std::size_t rotate_width_;    // kRotating
+  std::size_t rotate_width_ = 0;  // kRotating
   std::vector<bool> straggler_set_;  // kStraggler
   std::vector<bool> slow_set_;       // kTargetedSlow
   std::size_t crash_cursor_ = 0;

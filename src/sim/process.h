@@ -35,12 +35,14 @@ class StepContext {
 
   /// Engine-side overload: sends go into `outbox`, a caller-owned buffer
   /// that must arrive empty and outlive the context. Lets the engine reuse
-  /// one buffer across proc-steps instead of allocating per step.
+  /// one buffer across proc-steps instead of allocating per step. In such
+  /// an outbox a fan-out is stored as a run (see send), which the engine's
+  /// dispatch understands.
   StepContext(ProcessId self, std::size_t n, std::uint64_t local_step,
               const std::vector<Envelope>& received,
               std::vector<Outgoing>& outbox)
       : self_(self), n_(n), local_step_(local_step), received_(received),
-        outbox_(&outbox) {}
+        outbox_(&outbox), fanout_runs_(true) {}
 
   StepContext(const StepContext&) = delete;
   StepContext& operator=(const StepContext&) = delete;
@@ -57,12 +59,40 @@ class StepContext {
 
   /// Queues a point-to-point message; the engine takes ownership of the
   /// batch when the step ends. Sending to self is allowed and is counted.
-  void send(ProcessId to, PayloadPtr payload) {
-    outbox_->push_back(Outgoing{to, std::move(payload)});
+  ///
+  /// In an engine outbox, a send of the payload the previous entry already
+  /// carries (a fan-out loop) stores a non-owning alias: the run's first
+  /// entry keeps the payload alive for as long as the outbox holds the
+  /// run, so the other destinations skip the atomic reference count.
+  void send(ProcessId to, PayloadPtr&& payload) {
+    if (!extend_run(to, payload.get()))
+      outbox_->push_back(Outgoing{to, std::move(payload)});
+  }
+  void send(ProcessId to, const PayloadPtr& payload) {
+    if (!extend_run(to, payload.get()))
+      outbox_->push_back(Outgoing{to, payload});
+  }
+  /// A payload variable of any payload type (what fan-out loops pass).
+  template <typename T>
+  void send(ProcessId to, std::shared_ptr<T>& payload) {
+    if (!extend_run(to, payload.get()))
+      outbox_->push_back(Outgoing{to, payload});
   }
 
   /// Engine-side accessor; algorithm code has no reason to call this.
   std::vector<Outgoing>& outbox() { return *outbox_; }
+
+  /// True when the simulation engine runs this step. The engine takes and
+  /// drops every payload reference on its own thread (under --engine-jobs
+  /// only in the serial merge, which the shard pool orders before and
+  /// after each worker phase), and borrowed views live only while it holds
+  /// a reference. So a payload the process kept and whose use_count() is 1
+  /// is no longer read by anyone, and the process may overwrite it for a
+  /// later send. The rt runtimes hand payloads to other threads, where a
+  /// count of one proves nothing; there this stays false.
+  bool payload_reuse_safe() const { return payload_reuse_safe_; }
+  /// Engine-side: declares the guarantee above for this step.
+  void allow_payload_reuse() { payload_reuse_safe_ = true; }
 
   // --- instrumentation probes (sim/probe.h) -------------------------------
   // No-ops unless the engine attached a sink; probing never affects the
@@ -89,6 +119,16 @@ class StepContext {
   }
 
  private:
+  /// Appends a non-owning alias (the aliasing constructor over an empty
+  /// owner) when `payload` continues the outbox's last run (see send).
+  bool extend_run(ProcessId to, const Payload* payload) {
+    if (!fanout_runs_ || payload == nullptr || outbox_->empty() ||
+        outbox_->back().payload.get() != payload)
+      return false;
+    outbox_->push_back(Outgoing{to, PayloadPtr(PayloadPtr(), payload)});
+    return true;
+  }
+
   ProcessId self_;
   std::size_t n_;
   std::uint64_t local_step_;
@@ -97,6 +137,8 @@ class StepContext {
   std::vector<Outgoing>* outbox_;
   ProbeSink* probe_ = nullptr;
   Time probe_now_ = 0;
+  bool fanout_runs_ = false;
+  bool payload_reuse_safe_ = false;
 };
 
 class Process {

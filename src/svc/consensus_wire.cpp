@@ -35,7 +35,7 @@ bool bounded_byte(wire::Reader* r, std::uint8_t max, std::uint8_t* out) {
 
 bool encode_consensus(std::vector<std::uint8_t>* out,
                       const Payload& payload) {
-  const auto* p = dynamic_cast<const ConsensusPayload*>(&payload);
+  const auto* p = payload_cast<ConsensusPayload>(&payload);
   if (p == nullptr) return false;
   wire::put_varint(out, kConsensusPayloadTag);
   wire::put_varint(out, p->sender);
@@ -73,6 +73,7 @@ bool decode_consensus(wire::Reader* r, PayloadPtr* out) {
   p->state.items.assign(n, kValUnknown);
   for (std::size_t i = 0; i < n; ++i)
     if (!byte_val(r, &p->state.items[i])) return false;
+  p->state.rebuild_known();  // not on the wire: implied by the items
   if (!byte_val(r, &p->sender_x)) return false;
   if (!byte_val(r, &p->sender_y)) return false;
   std::uint8_t decided = 0;

@@ -6,8 +6,6 @@
 #include "common/assert.h"
 #include "consensus/cr_gossip.h"
 #include "consensus/get_core.h"
-#include "sim/engine.h"
-#include "sim/oblivious.h"
 
 namespace asyncgossip {
 namespace svc {
@@ -51,11 +49,12 @@ CommitOutcome ReplicaGroup::commit_slot() {
                 stall_rng_.bernoulli(config_.stall_probability);
 
   // Replicas crashed by this slot are dead from the slot's first tick.
-  CrashPlan plan;
+  ObliviousConfig& adv = adversary_config_;
+  adv.crash_plan.clear();
   for (std::size_t p = 0; p < config_.n; ++p)
     if (crash_slot_[p] != 0 && crash_slot_[p] <= slot_)
-      plan.emplace_back(Time{1}, static_cast<ProcessId>(p));
-  out.alive = config_.n - plan.size();
+      adv.crash_plan.emplace_back(Time{1}, static_cast<ProcessId>(p));
+  out.alive = config_.n - adv.crash_plan.size();
   if (out.alive < majority_threshold(config_.n)) {
     out.unavailable = true;  // fail fast: a minority cannot commit
     return out;
@@ -67,26 +66,36 @@ CommitOutcome ReplicaGroup::commit_slot() {
   ccfg.exchange = exchange_for_algorithm(config_.algorithm);
   ccfg.seed = config_.seed ^ (slot_ * 0x9E3779B97F4A7C15ULL);
 
-  std::vector<std::unique_ptr<Process>> procs;
-  procs.reserve(config_.n);
-  for (std::size_t p = 0; p < config_.n; ++p)
-    procs.push_back(std::make_unique<ConsensusProcess>(
-        static_cast<ProcessId>(p), Val{1}, ccfg));
-
-  ObliviousConfig adv;
   adv.n = config_.n;
   adv.d = out.stalled ? 4 * config_.d : config_.d;
   adv.delta = config_.delta;
-  adv.crash_plan = plan;
   adv.seed = ccfg.seed ^ 0xAD7C025ULL;
 
   EngineConfig ecfg;
   ecfg.d = adv.d;
   ecfg.delta = adv.delta;
-  ecfg.max_crashes = plan.size();
+  ecfg.max_crashes = adv.crash_plan.size();
 
-  Engine engine(std::move(procs), std::make_unique<ObliviousAdversary>(adv),
-                ecfg);
+  if (engine_ == nullptr || !config_.reuse_slot_engine) {
+    std::vector<std::unique_ptr<Process>> procs;
+    procs.reserve(config_.n);
+    replicas_.clear();
+    for (std::size_t p = 0; p < config_.n; ++p) {
+      auto replica = std::make_unique<ConsensusProcess>(
+          static_cast<ProcessId>(p), Val{1}, ccfg);
+      replicas_.push_back(replica.get());
+      procs.push_back(std::move(replica));
+    }
+    auto adversary = std::make_unique<ObliviousAdversary>(adv);
+    adversary_ = adversary.get();
+    engine_ = std::make_unique<Engine>(std::move(procs), std::move(adversary),
+                                       ecfg);
+  } else {
+    for (ConsensusProcess* replica : replicas_) replica->restart(Val{1}, ccfg);
+    adversary_->restart(adv);
+    engine_->restart(ecfg);
+  }
+  Engine& engine = *engine_;
   const double lg = std::log2(static_cast<double>(config_.n)) + 1.0;
   const Time budget = static_cast<Time>(
       2000.0 * lg * lg * static_cast<double>(adv.d + adv.delta) +
@@ -96,9 +105,10 @@ CommitOutcome ReplicaGroup::commit_slot() {
   out.decision_time = engine.now();
   out.messages = engine.metrics().messages_sent();
   out.bytes = engine.metrics().bytes_sent();
+  out.trace_hash = engine.trace_hash();
   for (ProcessId p = 0; p < engine.n(); ++p) {
     if (engine.crashed(p)) continue;
-    const auto& cp = engine.process_as<ConsensusProcess>(p);
+    const ConsensusProcess& cp = *replicas_[p];
     out.decision_phase = std::max(out.decision_phase, cp.decided_phase());
     // All-1 inputs: validity pins any decision to 1.
     if (cp.decided()) AG_ASSERT_MSG(cp.decision() == 1, "validity violated");

@@ -12,14 +12,28 @@
 // every slot >= k. When fewer than floor(n/2)+1 replicas survive, the
 // group reports honest unavailability instead of committing (fail-fast:
 // the slot engine is not run).
+//
+// The slot engine (one Engine, its n ConsensusProcesses and its
+// ObliviousAdversary) is built once and restarted every slot, so a slot in
+// steady state allocates almost nothing. A slot is still a pure function
+// of (config, slot index): each of the three has a single initialisation
+// path, restart(), which its constructor also calls, and a restart resets
+// every field a run reads, from the slot's seed, its crash plan and its
+// stall draw. Nothing carries over from the previous slot except buffer
+// capacity. ReplicaGroupConfig::reuse_slot_engine = false builds a fresh
+// engine per slot instead; the SvcReplica tests check both give the same
+// outcomes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "consensus/canetti_rabin.h"
 #include "gossip/harness.h"
+#include "sim/engine.h"
+#include "sim/oblivious.h"
 
 namespace asyncgossip {
 namespace svc {
@@ -43,6 +57,11 @@ struct ReplicaGroupConfig {
   /// inflated 4x (models a scheduling/network stall under the oblivious
   /// adversary; realized bounds absorb it, commit latency shows it).
   double stall_probability = 0.0;
+
+  /// Restart one slot engine every slot (the default) or build a fresh one
+  /// per slot. Outcomes are identical; false is the reference the tests
+  /// compare against.
+  bool reuse_slot_engine = true;
 };
 
 /// One slot's commit outcome plus the consensus run's cost counters.
@@ -59,6 +78,8 @@ struct CommitOutcome {
   std::uint32_t decision_phase = 0;
   bool stalled = false;
   std::size_t alive = 0;
+  /// The slot engine's trace hash (sim/engine.h); 0 when unavailable.
+  std::uint64_t trace_hash = 0;
 };
 
 class ReplicaGroup {
@@ -82,6 +103,13 @@ class ReplicaGroup {
   /// crash_slot_[p] != 0: replica p is crashed in every slot >= that value.
   std::vector<std::uint64_t> crash_slot_;
   Xoshiro256SS stall_rng_;
+
+  // The slot engine (see the file comment). engine_ owns the replicas and
+  // the adversary; the raw pointers restart them in place.
+  std::unique_ptr<Engine> engine_;
+  std::vector<ConsensusProcess*> replicas_;
+  ObliviousAdversary* adversary_ = nullptr;
+  ObliviousConfig adversary_config_;  // per-slot scratch
 };
 
 }  // namespace svc

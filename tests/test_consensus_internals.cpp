@@ -4,7 +4,10 @@
 // implicitly.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "consensus/canetti_rabin.h"
+#include "sim/observer.h"
 
 namespace asyncgossip {
 namespace {
@@ -170,6 +173,79 @@ TEST(ConsensusInternals, SubInstanceAdvancesAtMajority) {
   }
   drive(p, 0, n, std::move(inbox), 0);
   EXPECT_EQ(p.position(), (Position{1, 0, 1}));  // sub-instance advanced
+}
+
+/// Checks that every consensus payload carries its sender's state at the
+/// end of the sending step (each step snapshots only after its last state
+/// change), and still carries it when delivered. A cached snapshot that
+/// outlived a state change, or a kept payload overwritten while in
+/// flight, fails it.
+class SnapshotChecker final : public EngineObserver {
+ public:
+  explicit SnapshotChecker(const Engine* engine) : engine_(engine) {}
+
+  void on_send(const Envelope& env) override {
+    const auto* m = payload_cast<ConsensusPayload>(env);
+    ASSERT_NE(m, nullptr);
+    const auto& cp = engine_->process_as<ConsensusProcess>(env.from);
+    EXPECT_EQ(m->sender, env.from);
+    EXPECT_EQ(m->pos, cp.position());
+    EXPECT_EQ(m->state.origins, cp.instance().origins);
+    EXPECT_EQ(m->state.items, cp.instance().items);
+    EXPECT_EQ(m->state.known, cp.instance().known);
+    EXPECT_EQ(m->decided, cp.decided());
+    EXPECT_EQ(m->decision, cp.decision());
+    sent_.emplace(env.id, *m);
+    ++checked_;
+  }
+
+  void on_delivery(const Envelope& env, Time /*now*/) override {
+    const auto* m = payload_cast<ConsensusPayload>(env);
+    ASSERT_NE(m, nullptr);
+    const auto it = sent_.find(env.id);
+    ASSERT_NE(it, sent_.end());
+    const ConsensusPayload& was = it->second;
+    EXPECT_EQ(m->pos, was.pos);
+    EXPECT_EQ(m->state.origins, was.state.origins);
+    EXPECT_EQ(m->state.items, was.state.items);
+    EXPECT_EQ(m->sender_x, was.sender_x);
+    EXPECT_EQ(m->sender_y, was.sender_y);
+    EXPECT_EQ(m->decided, was.decided);
+    EXPECT_EQ(m->decision, was.decision);
+    EXPECT_EQ(m->flag_up, was.flag_up);
+    sent_.erase(it);
+  }
+
+  std::uint64_t checked() const { return checked_; }
+
+ private:
+  const Engine* engine_;
+  std::map<MessageId, ConsensusPayload> sent_;
+  std::uint64_t checked_ = 0;
+};
+
+TEST(ConsensusInternals, SnapshotsMatchTheSenderAndSurviveTheirFlight) {
+  for (const ExchangeKind kind :
+       {ExchangeKind::kAllToAll, ExchangeKind::kEars, ExchangeKind::kSears,
+        ExchangeKind::kTears}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ConsensusSpec spec;
+      spec.config.n = 16;
+      spec.config.f = 5;
+      spec.config.exchange = kind;
+      spec.d = 3;
+      spec.delta = 2;
+      spec.schedule = SchedulePattern::kStaggered;
+      spec.seed = seed;
+      Engine engine = make_consensus_engine(spec);
+      SnapshotChecker checker(&engine);
+      engine.set_observer(&checker);
+      engine.run_until(consensus_quiet, 20000);
+      SCOPED_TRACE(to_string(kind));
+      EXPECT_TRUE(consensus_quiet(engine));
+      EXPECT_GT(checker.checked(), 100u);
+    }
+  }
 }
 
 }  // namespace

@@ -193,6 +193,119 @@ TEST(Engine, MessagesToCrashedProcessAreDropped) {
   EXPECT_EQ(e.metrics().messages_delivered(), 0u);
 }
 
+/// Sends one fresh payload per step to every process, 0 first, and
+/// records the (sender, tag) of each delivery.
+class FanoutProcess final : public Process {
+ public:
+  explicit FanoutProcess(std::size_t n) : n_(n) {}
+
+  void step(StepContext& ctx) override {
+    for (const Envelope& env : ctx.received()) {
+      const auto* m = payload_cast<PingPayload>(env);
+      ASSERT_NE(m, nullptr);
+      got.emplace_back(env.from, m->tag);
+    }
+    auto payload = std::make_shared<PingPayload>();
+    payload->tag = static_cast<int>(ctx.local_step());
+    for (std::size_t q = 0; q < n_; ++q)
+      ctx.send(static_cast<ProcessId>(q), payload);
+  }
+  std::unique_ptr<Process> clone() const override {
+    return std::make_unique<FanoutProcess>(*this);
+  }
+  void reseed(std::uint64_t) override {}
+
+  std::vector<std::pair<ProcessId, int>> got;
+
+ private:
+  std::size_t n_;
+};
+
+TEST(Engine, FanoutWhoseFirstDestinationCrashedStillDelivers) {
+  // A fan-out is one owning outbox entry plus non-owning aliases; with
+  // process 0 crashed, every run's owner goes to a crashed destination and
+  // the engine must intern it for the aliases that follow.
+  constexpr std::size_t kN = 4;
+  std::vector<std::unique_ptr<Process>> procs;
+  for (std::size_t p = 0; p < kN; ++p)
+    procs.push_back(std::make_unique<FanoutProcess>(kN));
+  auto adv = benign();
+  adv->set_decide([](Time now, const EngineView& view) {
+    StepDecision d;
+    if (now == 0) d.crash.push_back(0);
+    for (ProcessId p = 0; p < view.n(); ++p)
+      if (!view.crashed(p)) d.schedule.push_back(p);
+    return d;
+  });
+  EngineConfig cfg;
+  cfg.max_crashes = 1;
+  Engine e(std::move(procs), std::move(adv), cfg);
+  e.run(6);
+  for (ProcessId p = 1; p < kN; ++p) {
+    const auto& got = e.process_as<FanoutProcess>(p).got;
+    // Steps 1..5 each deliver step t-1's payload of all three live senders.
+    ASSERT_EQ(got.size(), 15u) << "process " << p;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, 1 + i % 3);
+      EXPECT_EQ(got[i].second, static_cast<int>(i / 3));
+    }
+  }
+  EXPECT_EQ(e.metrics().messages_sent(), 6u * 3u * kN);
+  EXPECT_EQ(e.arena_stats().payload_pool_live, 3u);  // step 5's, in flight
+}
+
+TEST(Engine, RestartMatchesAFreshEngine) {
+  // restart() is the constructor's initialisation: after a run under one
+  // configuration, a restarted engine (and restarted adversary) replays a
+  // second configuration exactly like a fresh engine.
+  const auto make_procs = [] {
+    std::vector<std::unique_ptr<Process>> v;
+    for (ProcessId p = 0; p < 6; ++p)
+      v.push_back(std::make_unique<RecorderProcess>(p, (p + 1) % 6, 2));
+    return v;
+  };
+  ObliviousConfig first;
+  first.n = 6;
+  first.d = 3;
+  first.delta = 2;
+  first.schedule = SchedulePattern::kStaggered;
+  first.crash_plan = {{2, 4}};
+  first.seed = 5;
+  ObliviousConfig second = first;
+  second.d = 7;
+  second.delta = 1;
+  second.schedule = SchedulePattern::kLockStep;
+  second.crash_plan = {{1, 2}, {0, 5}};
+  second.seed = 6;
+  EngineConfig ecfg1{3, 2, 1};
+  EngineConfig ecfg2{7, 1, 2};
+
+  Engine fresh(make_procs(), std::make_unique<ObliviousAdversary>(second),
+               ecfg2);
+  fresh.run(20);
+
+  auto adversary = std::make_unique<ObliviousAdversary>(first);
+  ObliviousAdversary* adv = adversary.get();
+  Engine reused(make_procs(), std::move(adversary), ecfg1);
+  reused.run(7);  // stop with messages in flight
+  ASSERT_FALSE(reused.network_empty());
+  adv->restart(second);
+  reused.restart(ecfg2);
+  EXPECT_EQ(reused.now(), 0u);
+  EXPECT_TRUE(reused.network_empty());
+  EXPECT_EQ(reused.arena_stats().payload_pool_live, 0u);
+  // The processes are the caller's to restart; these send the same every
+  // step, so they need none.
+  reused.run(20);
+  EXPECT_EQ(reused.trace_hash(), fresh.trace_hash());
+  EXPECT_EQ(reused.metrics().messages_sent(), fresh.metrics().messages_sent());
+  EXPECT_EQ(reused.metrics().messages_delivered(),
+            fresh.metrics().messages_delivered());
+  EXPECT_EQ(reused.metrics().realized_d(), fresh.metrics().realized_d());
+  EXPECT_EQ(reused.metrics().crashes(), fresh.metrics().crashes());
+  EXPECT_EQ(reused.alive_count(), fresh.alive_count());
+}
+
 TEST(Engine, PendingCountTracksMailbox) {
   // Process 1 is never scheduled (delta huge); messages to it accumulate.
   auto adv = benign();

@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "consensus/cr_gossip.h"
 #include "gossip/harness.h"
 #include "sim/engine.h"
 #include "sim/shard_pool.h"
@@ -225,6 +226,31 @@ TEST(EngineJobs, OutcomeMatchesThroughTheHarness) {
   EXPECT_EQ(serial.gathering_ok, sharded.gathering_ok);
   EXPECT_EQ(serial.majority_ok, sharded.majority_ok);
   EXPECT_EQ(serial.alive, sharded.alive);
+}
+
+TEST(EngineJobs, ConsensusPayloadReuseStaysIdentical) {
+  // Consensus processes overwrite payloads the engine has released; under
+  // sharding the releases happen in the serial merge and the overwrites on
+  // worker threads, ordered by the pool's barrier (a race TSan would see).
+  register_consensus_algorithms();
+  for (const GossipAlgorithm alg :
+       {GossipAlgorithm::kCrEars, GossipAlgorithm::kCrSears,
+        GossipAlgorithm::kCrTears}) {
+    GossipSpec spec;
+    spec.algorithm = alg;
+    spec.n = 24;
+    spec.f = 7;
+    spec.d = 3;
+    spec.delta = 2;
+    spec.seed = 11;
+    spec.schedule = SchedulePattern::kStaggered;
+    spec.delay = DelayPattern::kUniform;
+    const std::string label = to_string(alg);
+    const RunResult serial = run_spec_with_jobs(spec, 1, 120);
+    EXPECT_GT(serial.messages_sent, 0u) << label;
+    expect_identical(serial, run_spec_with_jobs(spec, 4, 120),
+                     label + " jobs 1 vs 4");
+  }
 }
 
 // --- ShardPool unit tests (same TSan net: names keep the EngineJobs prefix)

@@ -11,7 +11,7 @@ InstanceState make_state(std::size_t n, std::vector<std::pair<std::size_t, Val>>
   InstanceState s(n);
   for (const auto& [origin, value] : items) {
     s.origins.set(origin);
-    s.items[origin] = value;
+    s.set_item(origin, value);
   }
   return s;
 }

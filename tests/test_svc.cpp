@@ -245,6 +245,54 @@ TEST(SvcWire, ConsensusPayloadRoundTrips) {
   }
 }
 
+TEST(SvcWire, GoldenConsensusFrame) {
+  // Bytes captured before InstanceState gained its `known` mask: the mask
+  // stays off the wire, and the decoder rebuilds it from the items.
+  svc::register_consensus_wire();
+  auto p = std::make_shared<ConsensusPayload>();
+  p->sender = 3;
+  p->pos.phase = 2;
+  p->pos.exchange = 1;
+  p->pos.sub = 2;
+  p->state = InstanceState(70);
+  p->state.add_own(0, 1);
+  p->state.add_own(65, kValBot);
+  p->state.origins.set(69);
+  p->state.set_item(69, 0);
+  p->state.set_item(5, 1);  // an item whose origin is not in `origins`
+  p->sender_x = 1;
+  p->sender_y = kValBot;
+  p->decided = true;
+  p->decision = 1;
+  p->flag_up = true;
+
+  std::vector<std::uint8_t> golden = {
+      0x10, 0x03, 0x02, 0x01, 0x02, 0x46, 0x09, 0x01, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x22, 0x03, 0x00, 0x00, 0x00, 0x00, 0x03};
+  golden.resize(golden.size() + 59, 0x00);  // items 6..64 unknown
+  for (const std::uint8_t b : {0x01, 0x00, 0x00, 0x00, 0x02,  // items 65..69
+                               0x03, 0x01, 0x01, 0x03, 0x01})  // x y dec flag
+    golden.push_back(b);
+
+  std::vector<std::uint8_t> bytes;
+  wire::encode_payload(&bytes, p.get());
+  EXPECT_EQ(bytes, golden);
+
+  wire::Reader r(golden.data(), golden.size(), /*bits=*/70);
+  PayloadPtr out;
+  ASSERT_TRUE(wire::decode_payload(&r, &out));
+  EXPECT_EQ(r.finish(), wire::DecodeError::kOk);
+  const auto* q = payload_cast<ConsensusPayload>(out.get());
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->state.origins, p->state.origins);
+  EXPECT_EQ(q->state.items, p->state.items);
+  EXPECT_EQ(q->state.known, p->state.known);
+  // A merge of the decoded state delivers every item, origin or not.
+  InstanceState mine(70);
+  EXPECT_TRUE(mine.merge(q->state));
+  EXPECT_EQ(mine.items, p->state.items);
+}
+
 // --- KvStore transition function ------------------------------------------
 
 TEST(SvcKv, PutGetCasSemantics) {
@@ -527,6 +575,139 @@ TEST(SvcReplica, BeyondBudgetCrashesReportHonestUnavailability) {
     }
   }
   EXPECT_TRUE(saw_unavailable);
+}
+
+/// The group behind the golden slot sequences: n = 8, f = 3, seed 1, and
+/// setup 0 = no faults, 1 = two replicas crashed from slot 1, 2 = those
+/// crashes plus a 0.1 stall probability.
+svc::ReplicaGroupConfig golden_group(GossipAlgorithm alg, int setup) {
+  svc::ReplicaGroupConfig g = small_group(1);
+  g.algorithm = alg;
+  if (setup >= 1) {
+    g.inject_crashes = 2;
+    g.crash_horizon_slots = 1;
+  }
+  if (setup == 2) g.stall_probability = 0.1;
+  return g;
+}
+
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SvcReplica, SlotSequencesMatchGolden) {
+  // Slots 1-64 of each group, captured before the slot engine was reused:
+  // an FNV-1a hash over every slot's (committed, unavailable, messages,
+  // bytes, decision_time, decision_phase), then the column sums.
+  const struct {
+    GossipAlgorithm alg;
+    int setup;
+    std::uint64_t hash, committed, unavailable, messages, bytes, ticks,
+        phases;
+  } kGolden[] = {
+      {GossipAlgorithm::kCrTears, 0, 0x2bf12d6fd9d8b202ULL, 64, 0, 36459,
+       1166688, 672, 64},
+      {GossipAlgorithm::kCrTears, 1, 0xdf1b6815be302f44ULL, 64, 0, 30658,
+       981056, 776, 64},
+      {GossipAlgorithm::kCrTears, 2, 0x741411144c583e77ULL, 64, 0, 31538,
+       1009216, 898, 64},
+      {GossipAlgorithm::kCrEars, 0, 0x3f2c54af09141dcdULL, 64, 0, 14896,
+       476672, 1862, 64},
+      {GossipAlgorithm::kCrEars, 1, 0x9012c6af0c3578d7ULL, 64, 0, 15650,
+       500800, 2587, 64},
+      {GossipAlgorithm::kCrEars, 2, 0x9154428cc00a847dULL, 64, 0, 16898,
+       540736, 2795, 64},
+      {GossipAlgorithm::kCrSears, 0, 0x16a27fca63425202ULL, 64, 0, 36144,
+       1156608, 753, 64},
+      {GossipAlgorithm::kCrSears, 1, 0x9ad3535175547fdbULL, 64, 0, 32124,
+       1027968, 871, 64},
+      {GossipAlgorithm::kCrSears, 2, 0x9ece78cf9df13ad0ULL, 64, 0, 35940,
+       1150080, 977, 64},
+  };
+  for (const auto& g : kGolden) {
+    svc::ReplicaGroup group(golden_group(g.alg, g.setup));
+    std::uint64_t hash = 0xcbf29ce484222325ULL, committed = 0,
+                  unavailable = 0, messages = 0, bytes = 0, ticks = 0,
+                  phases = 0;
+    for (int slot = 1; slot <= 64; ++slot) {
+      const svc::CommitOutcome o = group.commit_slot();
+      for (const std::uint64_t v :
+           {std::uint64_t{o.committed}, std::uint64_t{o.unavailable},
+            o.messages, o.bytes, std::uint64_t{o.decision_time},
+            std::uint64_t{o.decision_phase}})
+        hash = fnv_word(hash, v);
+      committed += o.committed ? 1 : 0;
+      unavailable += o.unavailable ? 1 : 0;
+      messages += o.messages;
+      bytes += o.bytes;
+      ticks += o.decision_time;
+      phases += o.decision_phase;
+    }
+    SCOPED_TRACE(std::string(to_string(g.alg)) + " setup " +
+                 std::to_string(g.setup));
+    EXPECT_EQ(committed, g.committed);
+    EXPECT_EQ(unavailable, g.unavailable);
+    EXPECT_EQ(messages, g.messages);
+    EXPECT_EQ(bytes, g.bytes);
+    EXPECT_EQ(ticks, g.ticks);
+    EXPECT_EQ(phases, g.phases);
+    EXPECT_EQ(hash, g.hash);
+  }
+}
+
+TEST(SvcReplica, ReusedSlotEngineMatchesAFreshEnginePerSlot) {
+  // Crashes that land mid-run change the crash plan and the crash budget
+  // from slot to slot, stalls change d (and so the engine's wheel width),
+  // and the 5-crash group loses its majority, so restarts cross every
+  // kind of slot boundary. At n = 8 the TEARS trigger band covers every
+  // count, so the n = 32 group is the one where a trigger count carried
+  // over from the previous slot would show.
+  struct Setup {
+    GossipAlgorithm alg;
+    std::size_t n, f, crashes;
+    std::uint64_t horizon;
+    double stall;
+    int slots;
+  };
+  for (const Setup& s :
+       {Setup{GossipAlgorithm::kCrTears, 8, 3, 3, 300, 0.1, 500},
+        Setup{GossipAlgorithm::kCrEars, 8, 3, 3, 300, 0.1, 500},
+        Setup{GossipAlgorithm::kCrSears, 8, 3, 3, 300, 0.1, 500},
+        Setup{GossipAlgorithm::kCrTears, 8, 3, 5, 400, 0.2, 500},
+        Setup{GossipAlgorithm::kCrTears, 32, 15, 8, 100, 0.1, 150}}) {
+    svc::ReplicaGroupConfig cfg = small_group(29);
+    cfg.algorithm = s.alg;
+    cfg.n = s.n;
+    cfg.f = s.f;
+    cfg.inject_crashes = s.crashes;
+    cfg.crash_horizon_slots = s.horizon;
+    cfg.stall_probability = s.stall;
+    svc::ReplicaGroup reused(cfg);
+    cfg.reuse_slot_engine = false;
+    svc::ReplicaGroup fresh(cfg);
+    bool saw_unavailable = false;
+    for (int slot = 1; slot <= s.slots; ++slot) {
+      const svc::CommitOutcome a = reused.commit_slot();
+      const svc::CommitOutcome b = fresh.commit_slot();
+      SCOPED_TRACE(std::string(to_string(s.alg)) + " n " +
+                   std::to_string(s.n) + " slot " + std::to_string(slot));
+      ASSERT_EQ(a.committed, b.committed);
+      ASSERT_EQ(a.unavailable, b.unavailable);
+      ASSERT_EQ(a.messages, b.messages);
+      ASSERT_EQ(a.bytes, b.bytes);
+      ASSERT_EQ(a.decision_time, b.decision_time);
+      ASSERT_EQ(a.decision_phase, b.decision_phase);
+      ASSERT_EQ(a.stalled, b.stalled);
+      ASSERT_EQ(a.alive, b.alive);
+      ASSERT_EQ(a.trace_hash, b.trace_hash);
+      saw_unavailable = saw_unavailable || a.unavailable;
+    }
+    EXPECT_EQ(saw_unavailable, s.crashes > cfg.f);
+  }
 }
 
 // --- loadgen ---------------------------------------------------------------
