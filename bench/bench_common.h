@@ -42,8 +42,17 @@ class BenchReport {
 
   void set_suite(const char* name) { suite_ = name; }
 
+  /// Google Benchmark runs a case function once per calibration run, so
+  /// one name arrives several times; the last run (the measured one)
+  /// replaces the earlier ones in place.
   void add_case(const std::string& name,
                 std::vector<std::pair<std::string, double>> counters) {
+    for (BenchCaseRow& row : cases_) {
+      if (row.name == name) {
+        row.counters = std::move(counters);
+        return;
+      }
+    }
     cases_.push_back({name, std::move(counters)});
   }
 

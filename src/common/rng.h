@@ -14,6 +14,17 @@
 
 namespace asyncgossip {
 
+/// murmur3's 64-bit finalizer: a cheap, deterministic mix for deriving
+/// seeds (per-process rt streams, fuzz and statcheck trial grids).
+inline std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
 /// xoshiro256** 1.0 by Blackman & Vigna (public domain reference
 /// implementation re-expressed in C++). Small, fast, 2^256-1 period,
 /// trivially copyable — copy = independent replay of the same future stream.

@@ -16,26 +16,27 @@ bool gossip_quiet(const Engine& engine) {
   return true;
 }
 
-bool check_gathering(const Engine& engine) {
-  DynamicBitset correct(engine.n());
-  for (ProcessId p = 0; p < engine.n(); ++p)
-    if (!engine.crashed(p)) correct.set(p);
-  for (ProcessId p = 0; p < engine.n(); ++p) {
-    if (engine.crashed(p)) continue;
-    const auto& gp = engine.process_as<GossipProcess>(p);
-    if (!correct.subset_of(gp.rumors())) return false;
+GossipVerdict judge_rumors(const std::vector<const DynamicBitset*>& rumors) {
+  const std::size_t n = rumors.size();
+  DynamicBitset correct(n);
+  for (ProcessId p = 0; p < n; ++p)
+    if (rumors[p] != nullptr) correct.set(p);
+  const std::size_t need = n / 2 + 1;
+  GossipVerdict verdict;
+  for (const DynamicBitset* known : rumors) {
+    if (known == nullptr) continue;
+    if (!correct.subset_of(*known)) verdict.gathering_ok = false;
+    if (known->count() < need) verdict.majority_ok = false;
   }
-  return true;
+  return verdict;
 }
 
-bool check_majority(const Engine& engine) {
-  const std::size_t need = engine.n() / 2 + 1;
-  for (ProcessId p = 0; p < engine.n(); ++p) {
-    if (engine.crashed(p)) continue;
-    const auto& gp = engine.process_as<GossipProcess>(p);
-    if (gp.rumors().count() < need) return false;
-  }
-  return true;
+GossipVerdict judge_gossip(const Engine& engine) {
+  std::vector<const DynamicBitset*> rumors(engine.n(), nullptr);
+  for (ProcessId p = 0; p < engine.n(); ++p)
+    if (!engine.crashed(p))
+      rumors[p] = &engine.process_as<GossipProcess>(p).rumors();
+  return judge_rumors(rumors);
 }
 
 GossipOutcome run_gossip(Engine& engine, Time max_steps) {
@@ -50,8 +51,9 @@ GossipOutcome run_gossip(Engine& engine, Time max_steps) {
   out.realized_delta = m.realized_delta();
   out.alive = engine.alive_count();
   out.crashes = engine.crashes_so_far();
-  out.gathering_ok = check_gathering(engine);
-  out.majority_ok = check_majority(engine);
+  const GossipVerdict verdict = judge_gossip(engine);
+  out.gathering_ok = verdict.gathering_ok;
+  out.majority_ok = verdict.majority_ok;
   return out;
 }
 

@@ -10,6 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
+
+#include "common/bitset.h"
 
 // aglint:allow(AG-LAY-002) completion detection *is* engine-side analysis:
 // it inspects global network/process state no algorithm may see. Algorithm
@@ -22,13 +25,23 @@ namespace asyncgossip {
 /// quiescent. Processes must implement GossipProcess.
 bool gossip_quiet(const Engine& engine);
 
-/// Every live process knows the rumor of every *correct* (never-crashed)
-/// process — the paper's rumor-gathering requirement.
-bool check_gathering(const Engine& engine);
+/// The paper's two gossip postconditions, judged on final rumor sets.
+struct GossipVerdict {
+  /// Every live process knows the rumor of every *correct* (never-crashed)
+  /// process — the rumor-gathering requirement.
+  bool gathering_ok = true;
+  /// Every live process knows strictly more than n/2 rumors — the majority
+  /// gossip requirement solved by TEARS.
+  bool majority_ok = true;
+};
 
-/// Every live process knows strictly more than n/2 rumors — the majority
-/// gossip requirement solved by TEARS.
-bool check_majority(const Engine& engine);
+/// The one verdict behind run_gossip and both rt drivers: rumors[p] is
+/// live process p's final rumor set, nullptr for a crashed p.
+GossipVerdict judge_rumors(const std::vector<const DynamicBitset*>& rumors);
+
+/// judge_rumors over the engine's processes, which must implement
+/// GossipProcess.
+GossipVerdict judge_gossip(const Engine& engine);
 
 struct GossipOutcome {
   /// Quiet state reached within the step budget.

@@ -7,22 +7,13 @@
 #include <ostream>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "gossip/completion.h"
 #include "gossip/spec_json.h"
 
 namespace asyncgossip {
 
 namespace {
-
-/// murmur3 finalizer: cheap, deterministic seed derivation for trial grids.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
 
 std::string first_line(const std::string& s) {
   const std::size_t nl = s.find('\n');

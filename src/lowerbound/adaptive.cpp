@@ -79,7 +79,7 @@ void finish_benignly(Engine& engine, ScriptedAdversary& adv,
   report.realized_d = m.realized_d();
   report.realized_delta = m.realized_delta();
   report.crashes_used = engine.crashes_so_far();
-  report.gathering_ok = check_gathering(engine);
+  report.gathering_ok = judge_gossip(engine).gathering_ok;
 }
 
 }  // namespace
@@ -168,7 +168,7 @@ LowerBoundReport run_lower_bound(const LowerBoundConfig& config) {
     report.realized_d = m.realized_d();
     report.realized_delta = m.realized_delta();
     report.crashes_used = engine.crashes_so_far();
-    report.gathering_ok = check_gathering(engine);
+    report.gathering_ok = judge_gossip(engine).gathering_ok;
     return report;
   }
 

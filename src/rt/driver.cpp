@@ -1,6 +1,5 @@
 #include "rt/driver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,32 +12,19 @@
 #include "common/assert.h"
 #include "common/bitset.h"
 #include "common/flight_recorder.h"
-#include "common/rng.h"
 #include "common/thread_annotations.h"
+#include "gossip/completion.h"
 #include "gossip/rumor.h"
 #include "rt/clock.h"
 #include "rt/merge.h"
+#include "rt/step.h"
 #include "rt/transport.h"
 #include "sim/fuzz.h"
-#include "sim/probe.h"
 #include "sim/telemetry.h"
 
 namespace asyncgossip {
 
 namespace {
-
-using Event = TraceRecorder::Event;
-using EventKind = TraceRecorder::EventKind;
-
-/// murmur3 finalizer: per-thread seed derivation from (run seed, pid).
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
 
 /// Shared run status the completion monitor polls. One mutex for all of it:
 /// the hot path takes it a handful of times per step, and steps are paced
@@ -62,44 +48,6 @@ struct SharedState {
   std::vector<std::uint64_t> step_counts AG_GUARDED_BY(mu);
   std::uint64_t sends AG_GUARDED_BY(mu) = 0;
   std::uint64_t deliveries AG_GUARDED_BY(mu) = 0;
-};
-
-/// Budget-gated append shared by events and probes: the cap bounds total
-/// memory across all threads without any per-thread tuning.
-class RecordBudget {
- public:
-  explicit RecordBudget(std::size_t max) : max_(max) {}
-  bool take() { return used_.fetch_add(1, std::memory_order_relaxed) < max_; }
-
- private:
-  std::size_t max_;
-  std::atomic<std::size_t> used_{0};
-};
-
-class ThreadProbeSink final : public ProbeSink {
- public:
-  ThreadProbeSink(RtProcessLog* log, RecordBudget* budget)
-      : log_(log), budget_(budget) {}
-
-  void on_phase(Time now, ProcessId p, const char* phase) override {
-    push(RtProbeRecord{true, now, p, phase, 0, 0});
-  }
-  void on_state(Time now, ProcessId p, std::uint64_t rumors_known,
-                std::uint64_t rumors_fully_informed) override {
-    push(RtProbeRecord{false, now, p, nullptr, rumors_known,
-                       rumors_fully_informed});
-  }
-
- private:
-  void push(const RtProbeRecord& r) {
-    if (budget_->take())
-      log_->probes.push_back(r);
-    else
-      ++log_->dropped;
-  }
-
-  RtProcessLog* log_;
-  RecordBudget* budget_;
 };
 
 }  // namespace
@@ -132,8 +80,6 @@ RtRunResult run_realtime(const RtConfig& config) {
   AG_ASSERT_MSG(spec.f < spec.n, "crash budget must leave a live process");
 
   const auto n = spec.n;
-  const Time d_target = std::max<Time>(1, spec.d);
-  const Time delta_target = std::max<Time>(1, spec.delta);
   const Time budget =
       spec.max_steps != 0 ? spec.max_steps : default_step_budget(spec);
 
@@ -150,142 +96,49 @@ RtRunResult run_realtime(const RtConfig& config) {
   Transport& transport = *transport_owner;
   const FaultInjector faults(
       make_fault_plan(config.inject, n, spec.f, spec.crash_horizon, spec.seed),
-      d_target, delta_target);
+      spec.d, spec.delta);
 
   std::vector<RtProcessLog> logs(n);
-  RecordBudget record_budget(config.max_events);
   SharedState state(n);
   std::atomic<bool> done{false};
-  std::atomic<MessageId> next_id{0};
   const TickClock clock(config.tick_us);
   const Stopwatch wall;
   FlightRecorder recorder(config.flight ? n : 0, config.flight_capacity);
 
   const auto worker = [&](ProcessId p) {
-    Xoshiro256SS rng(mix64(spec.seed ^ (0x9e3779b97f4a7c15ULL * (p + 1))));
     auto* gp = dynamic_cast<GossipProcess*>(processes[p].get());
     AG_ASSERT_MSG(gp != nullptr, "rt runtime requires GossipProcess instances");
-    RtProcessLog& log = logs[p];
-    ThreadProbeSink sink(&log, &record_budget);
     FlightRing* const ring = config.flight ? recorder.ring(p) : nullptr;
-    const auto push_event = [&](Event e) {
-      if (record_budget.take())
-        log.events.push_back(e);
-      else
-        ++log.dropped;
-    };
-
-    std::vector<Envelope> received;
-    Time last_tick = 0;
-    bool stepped = false;
-    std::uint64_t local_step = 0;
+    // Raising `undelivered` before the submits keeps the quiet predicate
+    // sound: a receiver may drain (and count down) a message at once.
+    RtStepper stepper(config, p, *gp, faults, transport, &logs[p], ring,
+                      [&](std::size_t sending) {
+                        const MutexLock lock(&state.mu);
+                        state.undelivered += sending;
+                        state.sends += sending;
+                      });
 
     while (!done.load(std::memory_order_acquire)) {
-      // Pace the next step into a gap of [1, delta_target] ticks (the
-      // first step into [0, delta_target)); OS jitter on top of this is
-      // absorbed by the realized delta the run reports.
-      const Time target = stepped ? last_tick + 1 + rng.uniform(delta_target)
-                                  : rng.uniform(delta_target);
+      const Time target = stepper.next_target();
       {
         const FlightZone zone(ring, FlightZoneId::kPacingSleep, p, target);
         clock.sleep_until_tick(target);
       }
-      Time now = clock.now_tick();
-      if (stepped && now <= last_tick) now = last_tick + 1;
-
       {
         const MutexLock lock(&state.mu);
         state.stepping[p] = 1;
         ++state.step_counts[p];
       }
-      received.clear();
-      std::size_t got = 0;
-      {
-        const FlightZone zone(ring, FlightZoneId::kInboxPoll, p, now);
-        got = transport.drain(p, now, &received);
-      }
-      if (got > 0) {
-        const MutexLock lock(&state.mu);
-        state.undelivered -= got;
-        state.deliveries += got;
-      }
-
-      push_event(Event{EventKind::kStep, now, p, kNoProcess, 0, 0, 0});
-      for (const Envelope& env : received) {
-        push_event(Event{EventKind::kDelivery, now, p, env.from, env.id,
-                         env.send_time, env.deliver_after});
-        if (ring != nullptr)
-          flight_record_deliver(ring, env.id, env.from, p, now,
-                                env.send_time);
-      }
-
-      StepContext ctx(p, n, local_step, received);
-      ctx.attach_probe(&sink, now);
-      {
-        const FlightZone zone(ring, FlightZoneId::kAlgoStep, p, now);
-        processes[p]->step(ctx);
-      }
-
-      auto& out = ctx.outbox();
-      const bool crash_now = faults.should_crash(p, local_step);
-      std::size_t keep = out.size();
-      // Mid-step crash: only a prefix of the step's sends makes it out
-      // (the model's "a subset of its messages is sent").
-      if (crash_now) keep = rng.uniform(out.size() + 1);
-
-      for (std::size_t i = 0; i < keep; ++i) {
-        StepContext::Outgoing& o = out[i];
-        Envelope env;
-        env.id = next_id.fetch_add(1, std::memory_order_relaxed);
-        env.from = p;
-        env.to = o.to;
-        env.send_time = now;
-        const Time delay = 1 + rng.uniform(d_target) + faults.extra_delay(rng);
-        env.deliver_after = now + delay;
-        log.bytes += o.payload ? o.payload->byte_size() : 0;
-        const MessageId id = env.id;
-        const ProcessId to = env.to;
-        env.payload = std::move(o.payload);
-        {
-          const MutexLock lock(&state.mu);
-          ++state.undelivered;
-          ++state.sends;
-        }
-        const Time stamped = transport.submit(std::move(env));
-        if (stamped == kTimeMax) {
-          // Destination crashed: the message never entered the network.
-          const MutexLock lock(&state.mu);
-          --state.undelivered;
-          push_event(Event{EventKind::kSend, now, p, to, id, now, now + delay});
-        } else {
-          push_event(Event{EventKind::kSend, now, p, to, id, now, stamped});
-        }
-        if (ring != nullptr)
-          flight_record_send(ring, id, p, to, now,
-                             stamped == kTimeMax ? now + delay : stamped);
-      }
-      // Ship this step's staged outbound batches (one frame per
-      // destination). A no-op on InProcessTransport.
-      transport.flush(p, now);
-
-      ++local_step;
-      last_tick = now;
-      stepped = true;
-
-      if (crash_now) {
-        push_event(Event{EventKind::kCrash, now, p, kNoProcess, 0, 0, 0});
-        const std::size_t discarded = transport.close_inbox(p);
-        const MutexLock lock(&state.mu);
-        state.undelivered -= discarded;
+      const RtStepResult r = stepper.step(clock.now_tick());
+      const MutexLock lock(&state.mu);
+      state.undelivered -= r.delivered + r.refused + r.discarded;
+      state.deliveries += r.delivered;
+      state.stepping[p] = 0;
+      if (r.crashed) {
         state.crashed[p] = 1;
-        state.stepping[p] = 0;
         return;
       }
-      {
-        const MutexLock lock(&state.mu);
-        state.stepping[p] = 0;
-        state.quiescent[p] = gp->quiescent() ? 1 : 0;
-      }
+      state.quiescent[p] = gp->quiescent() ? 1 : 0;
     }
   };
 
@@ -413,18 +266,13 @@ RtRunResult run_realtime(const RtConfig& config) {
   RtOutcome& oc = result.outcome;
 
   // --- gossip property checks (from the locked post-join snapshot) -------
-  DynamicBitset correct(n);
+  std::vector<const DynamicBitset*> rumors(n, nullptr);
   for (ProcessId p = 0; p < n; ++p)
-    if (crashed_final[p] == 0) correct.set(p);
-  const std::size_t need = n / 2 + 1;
-  oc.gathering_ok = true;
-  oc.majority_ok = true;
-  for (ProcessId p = 0; p < n; ++p) {
-    if (crashed_final[p] != 0) continue;
-    const auto& gp = dynamic_cast<const GossipProcess&>(*processes[p]);
-    if (!correct.subset_of(gp.rumors())) oc.gathering_ok = false;
-    if (gp.rumors().count() < need) oc.majority_ok = false;
-  }
+    if (crashed_final[p] == 0)
+      rumors[p] = &dynamic_cast<const GossipProcess&>(*processes[p]).rumors();
+  const GossipVerdict verdict = judge_rumors(rumors);
+  oc.gathering_ok = verdict.gathering_ok;
+  oc.majority_ok = verdict.majority_ok;
   result.notes.resize(n);
   result.crashed.resize(n);
   for (ProcessId p = 0; p < n; ++p) {
@@ -447,36 +295,6 @@ TelemetryConfig rt_telemetry_config(const RtConfig& config,
 void feed_telemetry(const RtRunResult& result, TelemetryCollector* collector) {
   std::size_t ei = 0;
   std::size_t pi = 0;
-  const auto apply_event = [&](const Event& e) {
-    switch (e.kind) {
-      case EventKind::kStep:
-        collector->on_step(e.time, e.process);
-        break;
-      case EventKind::kSend: {
-        Envelope env;
-        env.id = e.message;
-        env.from = e.process;
-        env.to = e.peer;
-        env.send_time = e.send_time;
-        env.deliver_after = e.deliver_after;
-        collector->on_send(env);
-        break;
-      }
-      case EventKind::kDelivery: {
-        Envelope env;
-        env.id = e.message;
-        env.from = e.peer;
-        env.to = e.process;
-        env.send_time = e.send_time;
-        env.deliver_after = e.deliver_after;
-        collector->on_delivery(env, e.time);
-        break;
-      }
-      case EventKind::kCrash:
-        collector->on_crash(e.time, e.process);
-        break;
-    }
-  };
   while (ei < result.events.size() || pi < result.probes.size()) {
     // Probes fire mid-step, before the step's sends; at equal ticks they
     // go first so a crashing process's last report lands before its crash.
@@ -492,7 +310,7 @@ void feed_telemetry(const RtRunResult& result, TelemetryCollector* collector) {
         collector->on_state(r.time, r.process, r.rumors_known,
                             r.rumors_fully_informed);
     } else {
-      apply_event(result.events[ei++]);
+      replay_event(result.events[ei++], collector);
     }
   }
   collector->finalize(result.outcome.end_time);
@@ -500,15 +318,9 @@ void feed_telemetry(const RtRunResult& result, TelemetryCollector* collector) {
 
 void write_rt_trace(std::ostream& os, const RtConfig& config,
                     const RtRunResult& result) {
-  os << "# asyncgossip trace v1\n";
-  os << "model n=" << config.spec.n << " d=" << result.outcome.realized_d
-     << " delta=" << result.outcome.realized_delta << " f=" << config.spec.f
-     << '\n';
-  if (result.events_dropped != 0)
-    os << "# WARNING: " << result.events_dropped
-       << " records dropped by the bounded recorder; this trace is a prefix\n";
-  for (const Event& e : result.events)
-    os << TraceRecorder::format_event(e) << '\n';
+  write_trace_v1(os, result.events, config.spec.n, result.outcome.realized_d,
+                 result.outcome.realized_delta, config.spec.f,
+                 result.events_dropped);
 }
 
 FlightLogHeader rt_flight_header(const RtConfig& config,

@@ -1,11 +1,14 @@
 // RealtimeDriver: runs the gossip algorithms, unmodified, over real threads.
 //
-// One thread per process executes the receive/compute/send step loop
+// One thread per process runs the shared real-time step (rt/step.h)
 // against an InProcessTransport (rt/transport.h), paced by a TickClock
-// (rt/clock.h) so model time is real time. The algorithms see the exact
-// StepContext interface the simulator hands them — same code, byte for
-// byte — while delivery order and scheduling interleaving come from the OS
-// instead of an adversary object.
+// (rt/clock.h) so model time is real time; the thread adds only the
+// completion monitor's accounting and the optional flight ring. The
+// algorithms see the exact StepContext interface the simulator hands them
+// — same code, byte for byte — while delivery order and scheduling
+// interleaving come from the OS instead of an adversary object. The
+// multi-process driver (rt/multiproc.h) runs the same step, so raw message
+// ids (pid << 40 | k) and the recording cap are the same in both.
 //
 // The central design decision: the paper's bounds d and delta are
 // *realized per execution* and unknown to the algorithms (Section 2 —
@@ -67,8 +70,10 @@ struct RtConfig {
   /// meaningful with the kUdp backend. The realized bounds absorb every
   /// retransmit delay, so faulted runs still audit clean.
   UdpWireFaults wire_faults;
-  /// Cap on recorded events across all threads; overflow is counted in
-  /// RtRunResult::events_dropped (and leaves the trace unauditable).
+  /// Cap on recorded events plus probe reports, split evenly: each process
+  /// keeps at most max_events / spec.n records, in either driver. Overflow
+  /// is counted in RtRunResult::events_dropped (and leaves the trace a
+  /// prefix of the run, unauditable).
   std::size_t max_events = 1 << 20;
   /// Flight recorder (common/flight_recorder.h): when true, every worker
   /// thread records causal send→deliver spans and profiling zones into its

@@ -10,10 +10,10 @@ namespace {
 using Event = TraceRecorder::Event;
 using EventKind = TraceRecorder::EventKind;
 
-bool event_order(const Event& a, const Event& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.process < b.process;
-}
+/// (time, process) order, for events and probe records alike.
+constexpr auto time_then_process = [](const auto& a, const auto& b) {
+  return a.time != b.time ? a.time < b.time : a.process < b.process;
+};
 
 }  // namespace
 
@@ -31,12 +31,10 @@ void merge_rt_logs(std::size_t n, std::vector<RtProcessLog> logs,
   // Each per-process log is already time-ordered; a stable sort by (time,
   // process) therefore preserves every process's internal event order
   // (step before deliveries before sends before crash within one tick).
-  std::stable_sort(result->events.begin(), result->events.end(), event_order);
+  std::stable_sort(result->events.begin(), result->events.end(),
+                   time_then_process);
   std::stable_sort(result->probes.begin(), result->probes.end(),
-                   [](const RtProbeRecord& a, const RtProbeRecord& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.process < b.process;
-                   });
+                   time_then_process);
 
   // Renumber message ids to be strictly monotone in merged send order (the
   // auditor's id contract). A delivery always follows its send in time

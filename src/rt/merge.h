@@ -6,10 +6,10 @@
 // This module is the single implementation of what happens next, so the
 // two drivers cannot drift: stable-sort by (time, process), renumber
 // message ids to be strictly monotone in merged send order (the auditor's
-// id contract — raw ids are only unique, not dense: the threaded driver
-// draws them from one atomic counter, the multi-process driver namespaces
-// a local counter by pid), and compute the realized bounds and outcome
-// counters from the merged stream.
+// id contract — raw ids are only unique, not dense: both drivers run the
+// shared step (rt/step.h), which namespaces a per-process counter by pid),
+// and compute the realized bounds and outcome counters from the merged
+// stream.
 //
 // Realized d is the maximum of deliver_after - send_time over send *and*
 // delivery events: over a socket transport the receiver may re-floor a

@@ -20,11 +20,11 @@
 
 #include "common/assert.h"
 #include "common/bitset.h"
-#include "common/rng.h"
+#include "gossip/completion.h"
 #include "gossip/rumor.h"
 #include "rt/clock.h"
 #include "rt/merge.h"
-#include "sim/probe.h"
+#include "rt/step.h"
 
 extern char** environ;
 
@@ -33,55 +33,10 @@ namespace asyncgossip {
 namespace {
 
 using Event = TraceRecorder::Event;
-using EventKind = TraceRecorder::EventKind;
-
-/// murmur3 finalizer — must match rt/driver.cpp exactly: a worker derives
-/// the same per-process rng stream as its threaded counterpart.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-/// Worker message ids: namespaced by pid, unique across processes but not
-/// dense (the merge renumbers; rt/merge.h).
-MessageId worker_message_id(ProcessId p, std::uint64_t counter) {
-  return (static_cast<MessageId>(p) << 40) | counter;
-}
 
 void sleep_ms(std::uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
-
-/// Single-threaded capture of one worker's probe reports into its log.
-class WorkerProbeSink final : public ProbeSink {
- public:
-  WorkerProbeSink(RtProcessLog* log, std::size_t max_records)
-      : log_(log), max_(max_records) {}
-
-  void on_phase(Time now, ProcessId p, const char* phase) override {
-    push(RtProbeRecord{true, now, p, phase, 0, 0});
-  }
-  void on_state(Time now, ProcessId p, std::uint64_t rumors_known,
-                std::uint64_t rumors_fully_informed) override {
-    push(RtProbeRecord{false, now, p, nullptr, rumors_known,
-                       rumors_fully_informed});
-  }
-
- private:
-  void push(const RtProbeRecord& r) {
-    if (log_->probes.size() + log_->events.size() < max_)
-      log_->probes.push_back(r);
-    else
-      ++log_->dropped;
-  }
-
-  RtProcessLog* log_;
-  std::size_t max_;
-};
 
 // --- worker trace file ----------------------------------------------------
 // trace-format-v1 event lines plus `#` metadata lines the coordinator
@@ -265,8 +220,6 @@ int run_rt_udp_worker(const RtConfig& config, ProcessId worker,
     return 2;
   const auto n = spec.n;
   const ProcessId p = worker;
-  const Time d_target = std::max<Time>(1, spec.d);
-  const Time delta_target = std::max<Time>(1, spec.delta);
   const Time budget =
       spec.max_steps != 0 ? spec.max_steps : default_step_budget(spec);
 
@@ -284,7 +237,7 @@ int run_rt_udp_worker(const RtConfig& config, ProcessId worker,
   // pure in (inject, n, f, horizon, seed).
   const FaultInjector faults(
       make_fault_plan(config.inject, n, spec.f, spec.crash_horizon, spec.seed),
-      d_target, delta_target);
+      spec.d, spec.delta);
 
   // --- handshake: Hello until PeerTable, then wait for Start --------------
   std::vector<std::uint8_t> hello;
@@ -315,23 +268,10 @@ int run_rt_udp_worker(const RtConfig& config, ProcessId worker,
     if (handshake_watch.elapsed_ms() > 30000.0) return 4;
   }
 
-  // --- step loop: the threaded worker's body, single process --------------
+  // --- step loop: the shared step, plus this worker's status counters -----
   const TickClock clock(config.tick_us);
-  Xoshiro256SS rng(mix64(spec.seed ^ (0x9e3779b97f4a7c15ULL * (p + 1))));
   RtProcessLog log;
-  WorkerProbeSink sink(&log, config.max_events);
-  const auto push_event = [&](Event e) {
-    if (log.events.size() + log.probes.size() < config.max_events)
-      log.events.push_back(e);
-    else
-      ++log.dropped;
-  };
-
-  std::vector<Envelope> received;
-  Time last_tick = 0;
-  bool stepped = false;
-  std::uint64_t local_step = 0;
-  std::uint64_t local_id = 0;
+  RtStepper stepper(config, p, *gp, faults, transport, &log);
   std::uint64_t sends = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t discarded = 0;
@@ -347,56 +287,12 @@ int run_rt_udp_worker(const RtConfig& config, ProcessId worker,
 
   while (!shutdown) {
     if (!crashed) {
-      const Time target = stepped ? last_tick + 1 + rng.uniform(delta_target)
-                                  : rng.uniform(delta_target);
-      clock.sleep_until_tick(target);
-      Time now = clock.now_tick();
-      if (stepped && now <= last_tick) now = last_tick + 1;
-
-      received.clear();
-      deliveries += transport.drain(p, now, &received);
-      push_event(Event{EventKind::kStep, now, p, kNoProcess, 0, 0, 0});
-      for (const Envelope& env : received)
-        push_event(Event{EventKind::kDelivery, now, p, env.from, env.id,
-                         env.send_time, env.deliver_after});
-
-      StepContext ctx(p, n, local_step, received);
-      ctx.attach_probe(&sink, now);
-      processes[p]->step(ctx);
-
-      auto& out = ctx.outbox();
-      const bool crash_now = faults.should_crash(p, local_step);
-      std::size_t keep = out.size();
-      if (crash_now) keep = rng.uniform(out.size() + 1);
-
-      for (std::size_t i = 0; i < keep; ++i) {
-        StepContext::Outgoing& o = out[i];
-        Envelope env;
-        env.id = worker_message_id(p, local_id++);
-        env.from = p;
-        env.to = o.to;
-        env.send_time = now;
-        const Time delay = 1 + rng.uniform(d_target) + faults.extra_delay(rng);
-        env.deliver_after = now + delay;
-        log.bytes += o.payload ? o.payload->byte_size() : 0;
-        const MessageId id = env.id;
-        const ProcessId to = env.to;
-        env.payload = std::move(o.payload);
-        const Time stamped = transport.submit(std::move(env));
-        ++sends;
-        push_event(Event{EventKind::kSend, now, p, to, id, now, stamped});
-      }
-      transport.flush(p, now);
-
-      ++local_step;
-      last_tick = now;
-      stepped = true;
-
-      if (crash_now) {
-        push_event(Event{EventKind::kCrash, now, p, kNoProcess, 0, 0, 0});
-        discarded += transport.close_inbox(p);
-        crashed = true;
-      }
+      clock.sleep_until_tick(stepper.next_target());
+      const RtStepResult r = stepper.step(clock.now_tick());
+      sends += r.sent;
+      deliveries += r.delivered;
+      discarded += r.refused + r.discarded;
+      crashed = r.crashed;
     } else {
       // Crashed: the model process is gone, but its transport endpoint
       // still acks, discards and retransmits so in-flight envelopes settle.
@@ -417,7 +313,7 @@ int run_rt_udp_worker(const RtConfig& config, ProcessId worker,
       st.pid = p;
       st.quiescent = gp->quiescent();
       st.crashed = crashed;
-      st.steps = local_step;
+      st.steps = stepper.steps();
       st.sends = sends;
       st.deliveries = deliveries;
       st.discarded = discarded;
@@ -439,7 +335,7 @@ int run_rt_udp_worker(const RtConfig& config, ProcessId worker,
   meta.timed_out = timed_out;
   meta.bytes = log.bytes;
   meta.dropped = log.dropped;
-  meta.steps = local_step;
+  meta.steps = stepper.steps();
   meta.note = gp->final_note();
   const bool wrote = write_worker_file(trace_out, meta, gp->rumors(), log);
 
@@ -742,16 +638,13 @@ MultiprocResult run_realtime_udp(const MultiprocConfig& config) {
   res.run.outcome.wall_ms = wall.elapsed_ms();
 
   // Gossip property checks, from the workers' reported final rumor sets.
-  DynamicBitset correct(n);
-  for (ProcessId p = 0; p < n; ++p)
-    if (crashed[p] == 0) correct.set(p);
-  const std::size_t need = n / 2 + 1;
-  res.run.outcome.gathering_ok = parse_ok;
-  res.run.outcome.majority_ok = parse_ok;
-  for (ProcessId p = 0; parse_ok && p < n; ++p) {
-    if (crashed[p] != 0) continue;
-    if (!correct.subset_of(rumors[p])) res.run.outcome.gathering_ok = false;
-    if (rumors[p].count() < need) res.run.outcome.majority_ok = false;
+  if (parse_ok) {
+    std::vector<const DynamicBitset*> live(n, nullptr);
+    for (ProcessId p = 0; p < n; ++p)
+      if (crashed[p] == 0) live[p] = &rumors[p];
+    const GossipVerdict verdict = judge_rumors(live);
+    res.run.outcome.gathering_ok = verdict.gathering_ok;
+    res.run.outcome.majority_ok = verdict.majority_ok;
   }
 
   if (!config.keep_files) {

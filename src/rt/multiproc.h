@@ -1,11 +1,13 @@
 // Multi-process real-time driver: one OS process per gossip process.
 //
 // `gossiplab rt --transport udp` re-execs its own binary n times; each
-// worker hosts exactly one UdpTransport endpoint and runs the same step
-// loop as a threaded worker (rt/driver.h) — same rng derivation, same
-// fault plan (make_fault_plan is pure in its inputs, so every worker
-// computes the identical crash schedule locally), same StepContext — so
-// all eight algorithms run unmodified across process boundaries.
+// worker hosts exactly one UdpTransport endpoint and runs the shared step
+// (rt/step.h) that the threaded driver's workers run — same rng
+// derivation, same fault plan (make_fault_plan is pure in its inputs, so
+// every worker computes the identical crash schedule locally), same
+// StepContext, same per-process recording cap — so all eight algorithms
+// run unmodified across process boundaries. The worker adds only its
+// status counters and the servicing of its endpoint after a crash.
 //
 // Coordination runs over the same loopback sockets as the data plane,
 // with dedicated control frames (rt/wire.h). The protocol tolerates
@@ -29,7 +31,7 @@
 // the coordinator parses the files and feeds merge_rt_logs (rt/merge.h) —
 // the same merge, renumbering and realized-bounds computation the
 // threaded driver uses, so the merged artifact obeys the same auditor
-// contract. Worker message ids are namespaced by pid (pid << 40 | local
+// contract. Raw message ids come from the shared step (pid << 40 | local
 // counter): unique across processes, not dense — exactly what the merge's
 // renumbering accepts.
 #pragma once

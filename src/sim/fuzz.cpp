@@ -85,34 +85,7 @@ ViolationReport audit_events(const std::vector<TraceRecorder::Event>& events,
   Time last_time = 0;
   bool any = false;
   for (const TraceRecorder::Event& e : events) {
-    switch (e.kind) {
-      case TraceRecorder::EventKind::kStep:
-        auditor.on_step(e.time, e.process);
-        break;
-      case TraceRecorder::EventKind::kSend: {
-        Envelope env;
-        env.id = e.message;
-        env.from = e.process;
-        env.to = e.peer;
-        env.send_time = e.send_time;
-        env.deliver_after = e.deliver_after;
-        auditor.on_send(env);
-        break;
-      }
-      case TraceRecorder::EventKind::kDelivery: {
-        Envelope env;
-        env.id = e.message;
-        env.from = e.peer;
-        env.to = e.process;
-        env.send_time = e.send_time;
-        env.deliver_after = e.deliver_after;
-        auditor.on_delivery(env, e.time);
-        break;
-      }
-      case TraceRecorder::EventKind::kCrash:
-        auditor.on_crash(e.time, e.process);
-        break;
-    }
+    replay_event(e, &auditor);
     any = true;
     last_time = std::max(last_time, e.time);
   }

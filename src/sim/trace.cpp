@@ -104,19 +104,49 @@ TraceRecorder::ParseResult TraceRecorder::parse_line(const std::string& line,
   return ParseResult::kEvent;
 }
 
-void TraceRecorder::write_events(std::ostream& os) const {
-  for (const Event& e : events_) os << format_event(e) << '\n';
-}
-
 void TraceRecorder::write_trace(std::ostream& os, std::size_t n, Time d,
                                 Time delta, std::size_t f) const {
+  write_trace_v1(os, events_, n, d, delta, f, dropped_);
+}
+
+void write_trace_v1(std::ostream& os,
+                    const std::vector<TraceRecorder::Event>& events,
+                    std::size_t n, Time d, Time delta, std::size_t f,
+                    std::uint64_t dropped) {
   os << "# asyncgossip trace v1\n";
   os << "model n=" << n << " d=" << d << " delta=" << delta << " f=" << f
      << '\n';
-  if (dropped_ != 0)
-    os << "# WARNING: " << dropped_
-       << " events dropped by the bounded recorder; this trace is a prefix\n";
-  write_events(os);
+  if (dropped != 0)
+    os << "# WARNING: " << dropped
+       << " records dropped by the bounded recorder; this trace is a prefix\n";
+  for (const TraceRecorder::Event& e : events)
+    os << TraceRecorder::format_event(e) << '\n';
+}
+
+void replay_event(const TraceRecorder::Event& e, EngineObserver* observer) {
+  using EventKind = TraceRecorder::EventKind;
+  Envelope env;
+  env.id = e.message;
+  env.send_time = e.send_time;
+  env.deliver_after = e.deliver_after;
+  switch (e.kind) {
+    case EventKind::kStep:
+      observer->on_step(e.time, e.process);
+      break;
+    case EventKind::kSend:
+      env.from = e.process;
+      env.to = e.peer;
+      observer->on_send(env);
+      break;
+    case EventKind::kDelivery:
+      env.from = e.peer;
+      env.to = e.process;
+      observer->on_delivery(env, e.time);
+      break;
+    case EventKind::kCrash:
+      observer->on_crash(e.time, e.process);
+      break;
+  }
 }
 
 Summary TraceRecorder::latency_summary() const { return summarize(latencies_); }

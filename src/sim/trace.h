@@ -82,10 +82,7 @@ class TraceRecorder final : public EngineObserver {
   /// Parses one line of the text format into *out.
   static ParseResult parse_line(const std::string& line, Event* out);
 
-  /// Writes every recorded event, one per line, in the text format.
-  void write_events(std::ostream& os) const;
-  /// Writes a header comment, the `model` line for the given spec, and
-  /// every recorded event: a complete, self-describing trace artifact.
+  /// Writes the recorded events as a trace artifact (write_trace_v1).
   void write_trace(std::ostream& os, std::size_t n, Time d, Time delta,
                    std::size_t f) const;
 
@@ -101,5 +98,19 @@ class TraceRecorder final : public EngineObserver {
   std::uint64_t dropped_ = 0;
   std::vector<double> latencies_;
 };
+
+/// The trace-format-v1 writer behind every trace artifact: a header
+/// comment, the `model` line for the given spec, a `# WARNING` line when a
+/// bounded recorder dropped `dropped` records (the events are then a
+/// prefix of the execution), and every event, one per line.
+void write_trace_v1(std::ostream& os,
+                    const std::vector<TraceRecorder::Event>& events,
+                    std::size_t n, Time d, Time delta, std::size_t f,
+                    std::uint64_t dropped);
+
+/// Replays one recorded event into `observer` as the engine would have
+/// reported it live (sends and deliveries as rebuilt Envelopes, without
+/// payload). The auditor, telemetry and tracecheck all read traces this way.
+void replay_event(const TraceRecorder::Event& e, EngineObserver* observer);
 
 }  // namespace asyncgossip

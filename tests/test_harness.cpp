@@ -96,10 +96,10 @@ TEST(Harness, CheckMajorityThreshold) {
   spec.n = 9;
   spec.f = 0;
   Engine engine = make_gossip_engine(spec);
-  EXPECT_FALSE(check_majority(engine));  // each knows only itself
+  EXPECT_FALSE(judge_gossip(engine).majority_ok);  // each knows only itself
   engine.run(30);
-  EXPECT_TRUE(check_majority(engine));
-  EXPECT_TRUE(check_gathering(engine));
+  EXPECT_TRUE(judge_gossip(engine).majority_ok);
+  EXPECT_TRUE(judge_gossip(engine).gathering_ok);
 }
 
 }  // namespace

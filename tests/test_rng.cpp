@@ -200,5 +200,13 @@ TEST(RngGolden, SplitAndJumpPinned) {
   EXPECT_EQ(jumped.next(), 35109889632992780ULL);
 }
 
+TEST(RngGolden, Mix64Pinned) {
+  // Seeds the rt per-process streams and the fuzz/statcheck trial grids.
+  EXPECT_EQ(mix64(0), 0u);
+  EXPECT_EQ(mix64(1), 12994781566227106604ULL);
+  EXPECT_EQ(mix64(42), 9297814886316923340ULL);
+  EXPECT_EQ(mix64(0x9e3779b97f4a7c15ULL), 11286133854226296554ULL);
+}
+
 }  // namespace
 }  // namespace asyncgossip

@@ -151,34 +151,7 @@ int run(const Options& opts_in) {
       continue;
     }
     const std::uint64_t before = auditor.report().total();
-    switch (e.kind) {
-      case TraceRecorder::EventKind::kStep:
-        auditor.on_step(e.time, e.process);
-        break;
-      case TraceRecorder::EventKind::kSend: {
-        Envelope env;
-        env.id = e.message;
-        env.from = e.process;
-        env.to = e.peer;
-        env.send_time = e.send_time;
-        env.deliver_after = e.deliver_after;
-        auditor.on_send(env);
-        break;
-      }
-      case TraceRecorder::EventKind::kDelivery: {
-        Envelope env;
-        env.id = e.message;
-        env.from = e.peer;
-        env.to = e.process;
-        env.send_time = e.send_time;
-        env.deliver_after = e.deliver_after;
-        auditor.on_delivery(env, e.time);
-        break;
-      }
-      case TraceRecorder::EventKind::kCrash:
-        auditor.on_crash(e.time, e.process);
-        break;
-    }
+    replay_event(e, &auditor);
     any_event = true;
     last_event_time = std::max(last_event_time, e.time);
 
