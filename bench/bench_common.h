@@ -19,10 +19,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
 #include "gossip/harness.h"
 #include "sim/telemetry_export.h"
 
@@ -138,9 +140,9 @@ class GossipAccumulator {
 /// — iteration seeds are assigned identically on both paths.
 inline std::size_t bench_jobs() {
   const char* env = std::getenv("AG_BENCH_JOBS");
-  if (env == nullptr || env[0] == '\0') return 1;
-  const std::uint64_t jobs = std::strtoull(env, nullptr, 10);
-  return jobs == 0 ? 1 : static_cast<std::size_t>(jobs);
+  std::size_t jobs = 0;
+  if (env == nullptr || !parse_uint(std::string_view(env), &jobs)) return 1;
+  return jobs == 0 ? 1 : jobs;
 }
 
 /// The standard gossip bench loop: one run per iteration with consecutive

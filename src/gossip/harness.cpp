@@ -3,8 +3,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "common/assert.h"
+#include "common/parse.h"
 #include "gossip/epidemic.h"
 #include "sim/sweep.h"
 #include "sim/telemetry.h"
@@ -18,11 +20,10 @@ namespace asyncgossip {
 
 std::size_t default_engine_jobs() {
   const char* env = std::getenv("AG_ENGINE_JOBS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return 1;  // unparsable: stay serial
-  return static_cast<std::size_t>(v);
+  std::size_t jobs = 1;
+  if (env != nullptr && !parse_uint(std::string_view(env), &jobs))
+    return 1;  // unparsable: stay serial
+  return jobs;
 }
 
 const char* to_string(GossipAlgorithm algorithm) {

@@ -8,7 +8,9 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
+#include "common/parse.h"
 #include "sim/telemetry_export.h"  // json_escape
 
 namespace asyncgossip {
@@ -145,10 +147,7 @@ struct Reader {
 bool get_u64(const std::map<std::string, std::string>& kv,
              const std::string& key, std::uint64_t* out) {
   const auto it = kv.find(key);
-  if (it == kv.end()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(it->second.c_str(), &end, 10);
-  return end != it->second.c_str() && *end == '\0';
+  return it != kv.end() && parse_uint(std::string_view(it->second), out);
 }
 
 bool get_double(const std::map<std::string, std::string>& kv,

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
+#include <string_view>
+
+#include "common/parse.h"
 
 namespace asyncgossip {
 
@@ -73,33 +77,41 @@ TraceRecorder::ParseResult TraceRecorder::parse_line(const std::string& line,
   if (line[start] == '#') return ParseResult::kSkip;
   if (line.compare(start, 5, "model") == 0) return ParseResult::kSkip;
 
-  const char* s = line.c_str() + start;
-  Event e;
-  std::uint64_t t = 0, id = 0, from = 0, to = 0, sent = 0, da = 0;
-  char tail = '\0';
-  if (std::sscanf(s, "step %" SCNu64 " %" SCNu64 " %c", &t, &from, &tail) ==
-      2) {
-    e = Event{EventKind::kStep, t, static_cast<ProcessId>(from), kNoProcess, 0,
-              0, 0};
-  } else if (std::sscanf(s,
-                         "send %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                         " %" SCNu64 " %c",
-                         &t, &id, &from, &to, &da, &tail) == 5) {
-    e = Event{EventKind::kSend, t, static_cast<ProcessId>(from),
-              static_cast<ProcessId>(to), id, t, da};
-  } else if (std::sscanf(s,
-                         "deliver %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                         " %" SCNu64 " %" SCNu64 " %c",
-                         &t, &id, &from, &to, &sent, &da, &tail) == 6) {
-    e = Event{EventKind::kDelivery, t, static_cast<ProcessId>(to),
-              static_cast<ProcessId>(from), id, sent, da};
-  } else if (std::sscanf(s, "crash %" SCNu64 " %" SCNu64 " %c", &t, &from,
-                         &tail) == 2) {
-    e = Event{EventKind::kCrash, t, static_cast<ProcessId>(from), kNoProcess,
-              0, 0, 0};
-  } else {
-    return ParseResult::kError;
+  // A keyword and at most six fields, each plain decimal digits that fit
+  // the field: a sign, an id past ProcessId or a time past 2^64 - 1 is an
+  // error, not a wrapped value.
+  std::string_view fields[7];
+  std::size_t count = 0;
+  for (std::size_t pos = start; pos < line.size();) {
+    const std::size_t end = std::min(line.find_first_of(" \t\r", pos),
+                                     line.size());
+    if (count == std::size(fields)) return ParseResult::kError;
+    fields[count++] = std::string_view(line).substr(pos, end - pos);
+    pos = line.find_first_not_of(" \t\r", end);
   }
+  const std::string_view kind = fields[0];
+  Event e;
+  bool ok = false;
+  if (kind == "step" && count == 3) {
+    e.kind = EventKind::kStep;
+    ok = parse_uint(fields[1], &e.time) && parse_uint(fields[2], &e.process);
+  } else if (kind == "send" && count == 6) {
+    e.kind = EventKind::kSend;
+    ok = parse_uint(fields[1], &e.time) && parse_uint(fields[2], &e.message) &&
+         parse_uint(fields[3], &e.process) && parse_uint(fields[4], &e.peer) &&
+         parse_uint(fields[5], &e.deliver_after);
+    e.send_time = e.time;
+  } else if (kind == "deliver" && count == 7) {
+    e.kind = EventKind::kDelivery;
+    ok = parse_uint(fields[1], &e.time) && parse_uint(fields[2], &e.message) &&
+         parse_uint(fields[3], &e.peer) && parse_uint(fields[4], &e.process) &&
+         parse_uint(fields[5], &e.send_time) &&
+         parse_uint(fields[6], &e.deliver_after);
+  } else if (kind == "crash" && count == 3) {
+    e.kind = EventKind::kCrash;
+    ok = parse_uint(fields[1], &e.time) && parse_uint(fields[2], &e.process);
+  }
+  if (!ok) return ParseResult::kError;
   *out = e;
   return ParseResult::kEvent;
 }

@@ -69,6 +69,8 @@ class TraceRecorder final : public EngineObserver {
   //   crash <t> <p>
   // Blank lines and lines starting with '#' are ignored; a
   // `model n=<n> d=<d> delta=<delta> f=<f>` line carries the model spec.
+  // Every field is plain decimal digits that fit it (process ids fit
+  // ProcessId): a sign or an overflow makes the line malformed.
 
   /// Outcome of parsing one line of the text format.
   enum class ParseResult : std::uint8_t {

@@ -534,6 +534,14 @@ TEST(AuditTrace, FormatRoundTripsEveryEventKind) {
             TraceRecorder::ParseResult::kError);
   EXPECT_EQ(TraceRecorder::parse_line("step 1 2 3", &out),
             TraceRecorder::ParseResult::kError);
+  // Fields are plain decimal digits that fit: an id past 2^32 or with a
+  // sign is not read as a wrapped process 1, nor a time past 2^64 - 1.
+  EXPECT_EQ(TraceRecorder::parse_line("step 0 4294967297", &out),
+            TraceRecorder::ParseResult::kError);
+  EXPECT_EQ(TraceRecorder::parse_line("step 0 -4294967295", &out),
+            TraceRecorder::ParseResult::kError);
+  EXPECT_EQ(TraceRecorder::parse_line("step 18446744073709551616 1", &out),
+            TraceRecorder::ParseResult::kError);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // is run at jobs = 1 (serial), 2 and 8 and compared field by field.
 //
 // These tests carry the "EngineJobs" prefix so the nightly TSan run picks
-// them up (.github/workflows/ci.yml filters on Rt|Sweep|Flight|EngineJobs):
+// them up (tools/ci/tsan-nightly.sh filters on Rt|Sweep|Flight|EngineJobs):
 // under TSan they double as a race check over the worker-phase snapshot
 // discipline.
 #include <gtest/gtest.h>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "consensus/canetti_rabin.h"
 #include "gossip/completion.h"
 #include "lowerbound/adaptive.h"
@@ -28,6 +31,26 @@ TEST(Harness, ToStringCoversExchangesAndCases) {
   EXPECT_STREQ(to_string(LowerBoundCase::kSlowPhase1), "slow-phase1");
   EXPECT_STREQ(to_string(LowerBoundCase::kCase1Messages), "case1-messages");
   EXPECT_STREQ(to_string(LowerBoundCase::kCase2Time), "case2-time");
+}
+
+TEST(Harness, EngineJobsEnvironmentIsReadStrictly) {
+  // Only the returned count is checked: no engine runs with it.
+  const char* saved = std::getenv("AG_ENGINE_JOBS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const auto jobs_for = [](const char* value) {
+    setenv("AG_ENGINE_JOBS", value, 1);
+    return default_engine_jobs();
+  };
+  EXPECT_EQ(jobs_for("-1"), 1u) << "a sign must not wrap to 2^64 - 1";
+  EXPECT_EQ(jobs_for("+4"), 1u);
+  EXPECT_EQ(jobs_for("4x"), 1u);
+  EXPECT_EQ(jobs_for(""), 1u);
+  EXPECT_EQ(jobs_for("4"), 4u);
+  EXPECT_EQ(jobs_for("0"), 0u);
+  if (saved != nullptr)
+    setenv("AG_ENGINE_JOBS", restore.c_str(), 1);
+  else
+    unsetenv("AG_ENGINE_JOBS");
 }
 
 TEST(Harness, MakeProcessesRespectsN) {

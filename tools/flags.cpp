@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/parse.h"
+
 namespace asyncgossip::cli {
 namespace {
 
@@ -23,12 +25,6 @@ std::string number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end;
 }
 
 bool parse_double(const std::string& s, double* out) {
@@ -76,7 +72,7 @@ std::string assign(const Flag& f, const std::string& text) {
     for (;;) {
       const std::size_t comma = text.find(',', pos);
       std::uint64_t v = 0;
-      if (!parse_u64(text.substr(pos, comma - pos), &v))
+      if (!parse_uint(text.substr(pos, comma - pos), &v))
         return quoted + " is not a comma-separated list of unsigned integers";
       if (!in_range(f, static_cast<double>(v)))
         return quoted + " has an element not " + range(f);
@@ -90,7 +86,7 @@ std::string assign(const Flag& f, const std::string& text) {
   const bool is_u64 = std::holds_alternative<std::uint64_t*>(f.field);
   std::uint64_t u = 0;
   double value = 0.0;
-  if (is_u64 ? !parse_u64(text, &u) : !parse_double(text, &value))
+  if (is_u64 ? !parse_uint(text, &u) : !parse_double(text, &value))
     return quoted +
            (is_u64 ? " is not an unsigned integer" : " is not a number");
   if (is_u64) value = static_cast<double>(u);

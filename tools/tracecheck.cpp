@@ -13,23 +13,33 @@
 // *verifiable artifact*: a benchmark run can ship its trace, and anyone
 // can re-check that the claimed (d, delta, f) bounds actually held.
 //
+// Every number, in a flag or in the trace, is plain decimal digits that
+// fit its field (common/parse.h): a signed or overflowing flag value exits
+// 2 naming the flag, and such a trace or model field exits 3.
+//
 // Usage:
 //   tracecheck [--n N] [--d D] [--delta DELTA] [--f F]
 //              [--context K] [--max-report M] [--no-finalize] FILE
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parse.h"
 #include "sim/audit.h"
 #include "sim/trace.h"
 
 using namespace asyncgossip;
 
 namespace {
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 struct Options {
   AuditConfig model;
@@ -48,20 +58,22 @@ void usage() {
                "--f 4 --record FILE\n");
 }
 
-bool parse_u64(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(s, &end, 10);
-  return end != s && *end == '\0';
-}
-
 bool parse_options(int argc, char** argv, Options* opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next_u64 = [&](std::uint64_t* out) {
-      return i + 1 < argc && parse_u64(argv[++i], out);
+    bool bad_value = false;
+    const auto next_u64 = [&](std::uint64_t* out,
+                              std::uint64_t max = kMaxU64) {
+      if (i + 1 < argc && parse_uint(std::string_view(argv[i + 1]), out) &&
+          *out <= max) {
+        ++i;
+        return true;
+      }
+      bad_value = true;
+      return false;
     };
     std::uint64_t v = 0;
-    if (arg == "--n" && next_u64(&v)) {
+    if (arg == "--n" && next_u64(&v, kNoProcess)) {
       opts->model.n = v;
       opts->n_set = true;
     } else if (arg == "--d" && next_u64(&v)) {
@@ -81,6 +93,15 @@ bool parse_options(int argc, char** argv, Options* opts) {
       opts->finalize = false;
     } else if (!arg.empty() && arg[0] != '-' && opts->path.empty()) {
       opts->path = arg;
+    } else if (bad_value) {
+      std::fprintf(stderr,
+                   "tracecheck: %s needs an unsigned integer <= %llu, got "
+                   "'%s'\n",
+                   arg.c_str(),
+                   static_cast<unsigned long long>(
+                       arg == "--n" ? kNoProcess : kMaxU64),
+                   i + 1 < argc ? argv[i + 1] : "");
+      return false;
     } else {
       std::fprintf(stderr, "tracecheck: bad argument: %s\n", arg.c_str());
       return false;
@@ -90,16 +111,26 @@ bool parse_options(int argc, char** argv, Options* opts) {
 }
 
 /// Absorbs a `model n=.. d=.. delta=.. f=..` line, not overriding values
-/// pinned on the command line.
-void absorb_model_line(const std::string& line, Options* opts) {
-  unsigned long long n = 0, d = 0, delta = 0, f = 0;
-  if (std::sscanf(line.c_str(), "model n=%llu d=%llu delta=%llu f=%llu", &n,
-                  &d, &delta, &f) != 4)
-    return;
-  if (!opts->n_set) opts->model.n = static_cast<std::size_t>(n);
-  if (!opts->d_set) opts->model.d = d;
-  if (!opts->delta_set) opts->model.delta = delta;
-  if (!opts->f_set) opts->model.max_crashes = static_cast<std::size_t>(f);
+/// pinned on the command line. False if the line is not exactly those four
+/// fields, each plain decimal digits (n must fit a process id).
+bool absorb_model_line(const std::string& line, Options* opts) {
+  static constexpr std::string_view kKeys[] = {"n=", "d=", "delta=", "f="};
+  std::uint64_t values[std::size(kKeys)] = {};
+  std::istringstream in(line);
+  std::string word;
+  in >> word;  // "model"
+  for (std::size_t k = 0; k < std::size(kKeys); ++k) {
+    if (!(in >> word) || word.rfind(kKeys[k], 0) != 0 ||
+        !parse_uint(std::string_view(word).substr(kKeys[k].size()),
+                    &values[k]))
+      return false;
+  }
+  if (in >> word || values[0] > kNoProcess) return false;
+  if (!opts->n_set) opts->model.n = values[0];
+  if (!opts->d_set) opts->model.d = values[1];
+  if (!opts->delta_set) opts->model.delta = values[2];
+  if (!opts->f_set) opts->model.max_crashes = values[3];
+  return true;
 }
 
 void print_context(const std::vector<std::string>& lines, std::size_t line_no,
@@ -122,8 +153,14 @@ int run(const Options& opts_in) {
   for (std::string line; std::getline(in, line);) lines.push_back(line);
 
   // First pass: pick up the model spec (flags win over the model line).
-  for (const std::string& line : lines)
-    if (line.rfind("model", 0) == 0) absorb_model_line(line, &opts);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind("model", 0) != 0 || absorb_model_line(lines[i], &opts))
+      continue;
+    std::fprintf(stderr, "%s:%zu: malformed model line\n", opts.path.c_str(),
+                 i + 1);
+    print_context(lines, i + 1, opts.context);
+    return 3;
+  }
   if (opts.model.n == 0) {
     std::fprintf(stderr,
                  "tracecheck: no model spec — the trace has no `model` line "
